@@ -79,7 +79,7 @@ def score_vector(instance: PowerTrace, basis: TraceSet) -> np.ndarray:
 
 
 def score_matrix(
-    instances: TraceSet,
+    instances: Union[TraceSet, np.ndarray],
     basis: TraceSet,
     *,
     chunk_size: int = 256,
@@ -108,17 +108,30 @@ def score_matrix(
     matrices — tasks carry only row ranges, never trace data.  Row scores
     are independent, so the result is identical for any worker count;
     batches smaller than ``parallel_min_rows`` run serially regardless.
+
+    ``instances`` may also be a bare ``(n_instances, n_samples)`` matrix
+    on ``basis``'s grid — the placer scores row blocks of the fleet
+    matrix without wrapping them in a :class:`TraceSet`.
     """
-    instances.grid.require_same(basis.grid)
+    if isinstance(instances, TraceSet):
+        instances.grid.require_same(basis.grid)
+        matrix = instances.matrix
+    else:
+        matrix = np.asarray(instances)
+        if matrix.ndim != 2 or matrix.shape[1] != basis.grid.n_samples:
+            raise ValueError(
+                f"instance matrix shape {matrix.shape} does not match "
+                f"{basis.grid.n_samples} samples"
+            )
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     work_dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
     if max_bytes is not None:
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
-        bytes_per_row = len(basis) * instances.grid.n_samples * work_dtype.itemsize
+        bytes_per_row = len(basis) * basis.grid.n_samples * work_dtype.itemsize
         chunk_size = max(1, min(chunk_size, max_bytes // max(bytes_per_row, 1)))
-    n = len(instances)
+    n = matrix.shape[0]
     with obs.span(
         "score",
         instances=n,
@@ -129,7 +142,7 @@ def score_matrix(
         obs.count("score.pairs", n * len(basis))
         if workers > 1 and n >= max(parallel_min_rows, 2 * workers):
             return _score_matrix_sharded(
-                instances, basis, work_dtype, chunk_size, workers
+                matrix, basis, work_dtype, chunk_size, workers
             )
         basis_block = np.asarray(basis.matrix, dtype=work_dtype)
         scores = np.empty((n, len(basis)))
@@ -137,14 +150,14 @@ def score_matrix(
             stop = min(start + chunk_size, n)
             obs.count("score.chunks")
             scores[start:stop] = _score_rows(
-                np.asarray(instances.matrix[start:stop], dtype=work_dtype),
+                np.asarray(matrix[start:stop], dtype=work_dtype),
                 basis_block,
             )
         return scores
 
 
 def _score_matrix_sharded(
-    instances: TraceSet,
+    instances: np.ndarray,
     basis: TraceSet,
     work_dtype: np.dtype,
     chunk_size: int,
@@ -163,9 +176,9 @@ def _score_matrix_sharded(
     from ..engine.parallel import get_pool
     from ..engine.sharedmem import SharedMatrix, shard_ranges
 
-    n = len(instances)
+    n = instances.shape[0]
     pool = get_pool(workers)
-    with SharedMatrix.create(instances.matrix, dtype=work_dtype) as shared_rows:
+    with SharedMatrix.create(instances, dtype=work_dtype) as shared_rows:
         with SharedMatrix.create(basis.matrix, dtype=work_dtype) as shared_basis:
             tasks = [
                 (

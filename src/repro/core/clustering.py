@@ -172,11 +172,12 @@ def _capacity_assign(points: np.ndarray, centroids: np.ndarray, k: int) -> np.nd
     spread = distances.max(axis=1) - distances.min(axis=1)
     order = np.argsort(-spread, kind="stable")
 
+    # Every point's clusters, nearest first — one row-wise stable sort.
+    ranked = np.argsort(distances, axis=1, kind="stable").tolist()
     labels = np.full(n, -1, dtype=np.int64)
-    remaining = capacities.copy()
-    for point in order:
-        ranked = np.argsort(distances[point], kind="stable")
-        for cluster in ranked:
+    remaining = capacities.tolist()
+    for point in order.tolist():
+        for cluster in ranked[point]:
             if remaining[cluster] > 0:
                 labels[point] = cluster
                 remaining[cluster] -= 1
@@ -200,10 +201,15 @@ def _recompute_centroids(
     """Mean of each cluster; empty clusters re-seeded from a random point."""
     k = previous.shape[0]
     centroids = previous.copy()
-    for cluster in range(k):
-        members = labels == cluster
-        if members.any():
-            centroids[cluster] = points[members].mean(axis=0)
+    # Members of each cluster as one contiguous block, in index order: the
+    # same rows ``points[labels == cluster]`` would gather, so each mean
+    # reduces exactly as a per-cluster gather would.
+    grouped = points[np.argsort(labels, kind="stable")]
+    start = 0
+    for cluster, end in enumerate(np.cumsum(np.bincount(labels, minlength=k)).tolist()):
+        if end > start:
+            centroids[cluster] = np.add.reduce(grouped[start:end], axis=0) / (end - start)
         else:
             centroids[cluster] = points[int(rng.integers(points.shape[0]))]
+        start = end
     return centroids

@@ -111,9 +111,8 @@ class AsynchronyIndex:
 
     # ------------------------------------------------------------------
     def _subtree_members(self, node_name: str):
-        node = self.view.topology.node(node_name)
         members = []
-        for leaf in node.leaves():
+        for leaf in self.view.topology.leaves_under(node_name):
             members.extend(self.view.member_ids(leaf.name))
         return members
 

@@ -25,10 +25,11 @@ import numpy as np
 from .. import obs
 from ..infra.assignment import Assignment, AssignmentError
 from ..infra.topology import PowerNode, PowerTopology
+from ..traces.grid import TimeGrid
 from ..traces.instance import InstanceRecord
 from ..traces.series import PowerTrace
-from ..traces.service import extract_basis_traces
-from ..traces.traceset import TraceSet
+from ..traces.service import basis_from_matrix
+from ..traces.traceset import TraceSet, row_source
 from .asynchrony import DEFAULT_SCORE_MAX_BYTES, score_matrix
 from .clustering import balanced_kmeans
 
@@ -210,7 +211,13 @@ def _scoped_place_shard(
 
 
 class WorkloadAwarePlacer:
-    """SmoothOperator's placement engine (Figure 7, steps 2-4)."""
+    """SmoothOperator's placement engine (Figure 7, steps 2-4).
+
+    The recursion carries row indices into one matrix of the instances'
+    training traces — the synthesised fleet matrix itself when the records
+    are row views of it — and each clustered node gathers its rows once
+    for S-trace extraction and scoring.
+    """
 
     def __init__(self, config: Optional[PlacementConfig] = None) -> None:
         self.config = config if config is not None else PlacementConfig()
@@ -228,82 +235,100 @@ class WorkloadAwarePlacer:
                 f"{len(records)} instances exceed total leaf capacity {capacity}"
             )
         with obs.span("place", instances=len(records)):
-            global_basis = extract_basis_traces(records, self.config.top_m_services)
-            mapping: Dict[str, str] = {}
-            diagnostics: Dict[str, Dict[str, int]] = {}
-            self._place_under(
-                topology.root, list(records), global_basis, mapping, diagnostics
+            matrix, rows = row_source([record.training_trace for record in records])
+            everyone = matrix[rows]
+            fleet = _Fleet(
+                topology=topology,
+                matrix=matrix,
+                rows=rows,
+                grid=records[0].training_trace.grid,
+                ids=[record.instance_id for record in records],
+                services=[record.service for record in records],
+                peaks=everyone.max(axis=1).tolist(),
             )
-            assignment = Assignment(topology, mapping)
-            obs.count("place.instances_placed", len(mapping))
+            global_basis = basis_from_matrix(
+                everyone, fleet.services, fleet.grid, self.config.top_m_services
+            )
+            del everyone  # not held across the recursion
+            self._place_under(
+                fleet, topology.root, list(range(len(records))), global_basis
+            )
+            assignment = Assignment(topology, fleet.mapping)
+            obs.count("place.instances_placed", len(fleet.mapping))
             return PlacementResult(
                 assignment=assignment,
                 basis_services=list(global_basis.ids),
-                cluster_labels=diagnostics,
+                cluster_labels=fleet.diagnostics,
             )
 
     # ------------------------------------------------------------------
     def _place_under(
         self,
+        fleet: "_Fleet",
         node: PowerNode,
-        records: List[InstanceRecord],
-        basis: TraceSet,
-        mapping: Dict[str, str],
-        diagnostics: Dict[str, Dict[str, int]],
+        members: List[int],
+        basis: Optional[TraceSet],
     ) -> None:
-        if not records:
+        """Place ``members`` (record positions) beneath ``node``.
+
+        ``basis`` is the S-trace basis to cluster with, or ``None`` when it
+        must first be extracted from ``members`` (per-node rebuild).
+        """
+        if not members:
             return
         if node.is_leaf:
-            if node.capacity is not None and len(records) > node.capacity:
+            if node.capacity is not None and len(members) > node.capacity:
                 raise AssignmentError(
-                    f"leaf {node.name} receives {len(records)} instances, "
+                    f"leaf {node.name} receives {len(members)} instances, "
                     f"capacity {node.capacity}"
                 )
-            for record in records:
-                mapping[record.instance_id] = node.name
+            for member in members:
+                fleet.mapping[fleet.ids[member]] = node.name
             return
         if len(node.children) == 1:
-            self._place_under(node.children[0], records, basis, mapping, diagnostics)
+            self._place_under(fleet, node.children[0], members, basis)
             return
 
         obs.count("place.nodes_clustered")
-        clusters, labels = self._cluster(node, records, basis)
-        diagnostics[node.name] = {
-            record.instance_id: int(label)
-            for record, label in zip(records, labels)
+        block = fleet.matrix[fleet.rows[members]]
+        if basis is None:
+            basis = basis_from_matrix(
+                block,
+                [fleet.services[m] for m in members],
+                fleet.grid,
+                self.config.top_m_services,
+            )
+        clusters, labels = self._cluster(fleet, node, members, block, basis)
+        del block  # not held across the recursion
+        fleet.diagnostics[node.name] = {
+            fleet.ids[member]: int(label) for member, label in zip(members, labels)
         }
-        shares = self._child_shares(node, records)
-        buckets = self._deal_round_robin(node, records, clusters, shares)
+        shares = self._child_shares(fleet.topology, node, len(members))
+        buckets = self._deal_round_robin(node, fleet.ids, clusters, shares)
+        child_basis = None if self.config.rebuild_basis_per_node else basis
         for child, bucket in zip(node.children, buckets):
-            child_basis = basis
-            if self.config.rebuild_basis_per_node and bucket:
-                child_basis = extract_basis_traces(bucket, self.config.top_m_services)
-            self._place_under(child, bucket, child_basis, mapping, diagnostics)
+            self._place_under(fleet, child, bucket, child_basis)
 
     # ------------------------------------------------------------------
     def _cluster(
         self,
+        fleet: "_Fleet",
         node: PowerNode,
-        records: List[InstanceRecord],
+        members: List[int],
+        block: np.ndarray,
         basis: TraceSet,
-    ) -> Tuple[List[List[InstanceRecord]], np.ndarray]:
-        """Cluster the local instances in asynchrony-score space."""
-        local_basis = basis
-        if self.config.rebuild_basis_per_node:
-            local_basis = extract_basis_traces(records, self.config.top_m_services)
-        traces = TraceSet.from_traces(
-            {record.instance_id: record.training_trace for record in records}
-        )
+    ) -> Tuple[List[List[int]], np.ndarray]:
+        """Cluster the local instances (traces ``block``) in asynchrony-score space."""
         scores = score_matrix(
-            traces,
-            local_basis,
+            block,
+            basis,
             chunk_size=self.config.score_chunk_size,
             max_bytes=self.config.score_max_bytes,
             dtype=self.config.score_dtype,
             workers=self.config.score_workers,
         )
         q = len(node.children)
-        h = min(len(records), q * self.config.clusters_per_child)
+        h = min(len(members), q * self.config.clusters_per_child)
         h = max(h, 1)
         result = balanced_kmeans(
             scores,
@@ -312,15 +337,13 @@ class WorkloadAwarePlacer:
             n_init=self.config.kmeans_n_init,
             max_iter=self.config.kmeans_max_iter,
         )
-        clusters: List[List[InstanceRecord]] = [[] for _ in range(result.k)]
-        for record, label in zip(records, result.labels):
-            clusters[int(label)].append(record)
+        clusters: List[List[int]] = [[] for _ in range(result.k)]
+        for member, label in zip(members, result.labels):
+            clusters[int(label)].append(member)
         # Deterministic intra-cluster order: deal the power-hungriest
         # instances first so the heaviest members spread widest.
         for cluster in clusters:
-            cluster.sort(
-                key=lambda r: (-r.training_trace.peak(), r.instance_id)
-            )
+            cluster.sort(key=lambda m: (-fleet.peaks[m], fleet.ids[m]))
         return clusters, result.labels
 
     def _node_seed(self, node: PowerNode) -> int:
@@ -328,25 +351,14 @@ class WorkloadAwarePlacer:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _subtree_capacity(node: PowerNode) -> Optional[int]:
-        total = 0
-        for leaf in node.leaves():
-            if leaf.capacity is None:
-                return None
-            total += leaf.capacity
-        return total
-
-    def _child_shares(
-        self, node: PowerNode, records: List[InstanceRecord]
-    ) -> List[int]:
-        """How many instances each child should receive.
+    def _child_shares(topology: PowerTopology, node: PowerNode, n: int) -> List[int]:
+        """How many of ``n`` instances each child should receive.
 
         Even split, adjusted down where a child's subtree capacity binds and
         the overflow pushed to children with room.
         """
         q = len(node.children)
-        n = len(records)
-        capacities = [self._subtree_capacity(child) for child in node.children]
+        capacities = [topology.subtree_capacity(child.name) for child in node.children]
         shares = [n // q + (1 if i < n % q else 0) for i in range(q)]
         # Waterfill overflow from capacity-bound children.
         for _ in range(q):
@@ -373,10 +385,10 @@ class WorkloadAwarePlacer:
     @staticmethod
     def _deal_round_robin(
         node: PowerNode,
-        records: List[InstanceRecord],
-        clusters: List[List[InstanceRecord]],
+        ids: Sequence[str],
+        clusters: List[List[int]],
         shares: List[int],
-    ) -> List[List[InstanceRecord]]:
+    ) -> List[List[int]]:
         """Deal each cluster's members across children like cards.
 
         Iterating cluster-by-cluster and child-by-child gives every child
@@ -384,21 +396,40 @@ class WorkloadAwarePlacer:
         heuristic.  Children that reached their share are skipped.
         """
         q = len(node.children)
-        buckets: List[List[InstanceRecord]] = [[] for _ in range(q)]
+        buckets: List[List[int]] = [[] for _ in range(q)]
         child_cursor = 0
         for cluster in clusters:
-            for record in cluster:
+            for member in cluster:
                 placed = False
                 for _ in range(q):
                     index = child_cursor % q
                     child_cursor += 1
                     if len(buckets[index]) < shares[index]:
-                        buckets[index].append(record)
+                        buckets[index].append(member)
                         placed = True
                         break
                 if not placed:
                     raise AssignmentError(
                         f"no child of {node.name} can take instance "
-                        f"{record.instance_id}"
+                        f"{ids[member]}"
                     )
         return buckets
+
+
+@dataclass
+class _Fleet:
+    """One :meth:`WorkloadAwarePlacer.place` call's inputs and outputs.
+
+    Instances are addressed by their position in the input records;
+    ``rows[position]`` is the instance's row in ``matrix``.
+    """
+
+    topology: PowerTopology
+    matrix: np.ndarray
+    rows: np.ndarray
+    grid: TimeGrid
+    ids: List[str]
+    services: List[str]
+    peaks: List[float]
+    mapping: Dict[str, str] = field(default_factory=dict)
+    diagnostics: Dict[str, Dict[str, int]] = field(default_factory=dict)

@@ -156,7 +156,7 @@ def dirty_nodes(topology, touched_leaves: Iterable[str]) -> List[str]:
     dirty: List[str] = []
     seen = set()
     for leaf_name in touched_leaves:
-        for node in topology.node(leaf_name).path_from_root():
+        for node in topology.path_from_root(leaf_name):
             if node.name not in seen:
                 seen.add(node.name)
                 dirty.append(node.name)

@@ -24,6 +24,10 @@ from ..traces.grid import TimeGrid
 from ..traces.traceset import TraceSet
 from .inject import RawTelemetry
 
+#: Upper bound on detect/re-fill passes; the loop normally stops at a
+#: fixpoint after a few.
+MAX_REPAIR_PASSES = 32
+
 
 @dataclass(frozen=True)
 class RepairPolicy:
@@ -84,6 +88,8 @@ class RepairReport:
     n_interpolated: int = 0
     realigned_minutes: int = 0
     dead_traces: List[str] = field(default_factory=list)
+    #: Detect/re-fill passes run before reaching a fixpoint.
+    passes: int = 0
 
     @property
     def n_flagged(self) -> int:
@@ -313,8 +319,12 @@ def repair_telemetry(
     # ``stuck_min_run``, and an edge-filled gap forms a constant run that
     # only a later pass can see.  Each iteration operates on exactly what a
     # fresh call would see, so the loop stops precisely when another repair
-    # would change nothing: idempotence by construction.
-    for _ in range(32):
+    # would change nothing: idempotence by construction.  A pass whose
+    # flags re-fill to the very same values (a flagged run that
+    # interpolation rebuilds unchanged) is such a fixpoint too: every later
+    # pass would see, flag and write the same matrix.
+    for passes in range(1, MAX_REPAIR_PASSES + 1):
+        report.passes = passes
         stuck = _stuck_mask(filled, policy.stuck_min_run)
         spikes = _spike_mask(np.where(stuck, np.nan, filled), policy) & ~stuck
         flags = stuck | spikes
@@ -322,9 +332,13 @@ def repair_telemetry(
             break
         report.n_stuck += int(stuck.sum())
         report.n_spikes += int(spikes.sum())
-        filled, n_interp, new_dead = _interpolate_gaps(filled, flags, policy)
+        refilled, n_interp, new_dead = _interpolate_gaps(filled, flags, policy)
         report.n_interpolated += n_interp
         dead.update(new_dead)
+        unchanged = np.array_equal(refilled, filled, equal_nan=True)
+        filled = refilled
+        if unchanged:
+            break
     report.dead_traces = [telemetry.ids[row] for row in sorted(dead)]
 
     clean = np.maximum(filled, 0.0)

@@ -55,7 +55,7 @@ class NodePowerView:
         # placement (materialize the current one via
         # :meth:`materialized_assignment`).
         self._leaf_members: Dict[str, List[str]] = {
-            leaf.name: list(assignment.instances_on_leaf(leaf.name))
+            leaf.name: assignment.instances_on_leaf(leaf.name)
             for leaf in topology.leaves()
         }
         self._leaf_of: Dict[str, str] = {
@@ -63,24 +63,12 @@ class NodePowerView:
             for leaf_name, members in self._leaf_members.items()
             for instance_id in members
         }
-        self._depth: Dict[str, int] = {}
         self._peaks: Dict[str, float] = {}
         self._version = 0
         self._last_dirty: Tuple[str, ...] = ()
-        self._index_depths(topology.root, 0)
-        self._aggregate(topology.root)
-
-    def _index_depths(self, node: PowerNode, depth: int) -> None:
-        self._depth[node.name] = depth
-        for child in node.children:
-            self._index_depths(child, depth + 1)
-
-    def _aggregate(self, node: PowerNode) -> np.ndarray:
-        for child in node.children:
-            self._aggregate(child)
-        total = self._compute_node(node)
-        self._node_values[node.name] = total
-        return total
+        # Reverse pre-order visits every child before its parent.
+        for node in reversed(topology.nodes()):
+            self._node_values[node.name] = self._compute_node(node)
 
     def _compute_node(self, node: PowerNode) -> np.ndarray:
         """One node's aggregate from current members / child aggregates.
@@ -146,12 +134,12 @@ class NodePowerView:
         dirty: List[str] = []
         seen = set()
         for leaf_name in touched:
-            for node in self.topology.node(leaf_name).path_from_root():
+            for node in self.topology.path_from_root(leaf_name):
                 if node.name not in seen:
                     seen.add(node.name)
                     dirty.append(node.name)
         # Children before parents: recompute deepest nodes first.
-        for name in sorted(dirty, key=self._depth.__getitem__, reverse=True):
+        for name in sorted(dirty, key=self.topology.depth, reverse=True):
             node = self.topology.node(name)
             self._node_values[name] = self._compute_node(node)
             self._peaks.pop(name, None)

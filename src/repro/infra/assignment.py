@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional
 
-from .topology import PowerTopology
+from .topology import PowerTopology, TopologyError
 
 
 class AssignmentError(ValueError):
@@ -23,20 +23,22 @@ class Assignment:
     def __init__(self, topology: PowerTopology, mapping: Mapping[str, str]) -> None:
         self.topology = topology
         self._leaf_of: Dict[str, str] = dict(mapping)
-        self._members: Dict[str, List[str]] = {}
-        leaf_names = set(topology.leaf_names())
+        # Members per leaf, indexed by the leaf's position in
+        # ``topology.leaves()`` — subtree queries are slices of this list.
+        self._by_leaf: List[List[str]] = [[] for _ in topology.leaves()]
         for instance_id, leaf_name in self._leaf_of.items():
-            if leaf_name not in leaf_names:
+            try:
+                position = topology.leaf_position(leaf_name)
+            except TopologyError:
                 raise AssignmentError(
                     f"instance {instance_id} assigned to non-leaf or unknown "
                     f"node {leaf_name!r}"
-                )
-            self._members.setdefault(leaf_name, []).append(instance_id)
-        for leaf in topology.leaves():
-            count = len(self._members.get(leaf.name, []))
-            if leaf.capacity is not None and count > leaf.capacity:
+                ) from None
+            self._by_leaf[position].append(instance_id)
+        for leaf, members in zip(topology.leaves(), self._by_leaf):
+            if leaf.capacity is not None and len(members) > leaf.capacity:
                 raise AssignmentError(
-                    f"leaf {leaf.name} holds {count} instances, "
+                    f"leaf {leaf.name} holds {len(members)} instances, "
                     f"capacity is {leaf.capacity}"
                 )
 
@@ -58,32 +60,30 @@ class Assignment:
 
     def instances_on_leaf(self, leaf_name: str) -> List[str]:
         """Instances directly supplied by ``leaf_name`` (placement order)."""
-        if leaf_name not in set(self.topology.leaf_names()):
-            raise AssignmentError(f"{leaf_name!r} is not a leaf node")
-        return list(self._members.get(leaf_name, []))
+        try:
+            position = self.topology.leaf_position(leaf_name)
+        except TopologyError:
+            raise AssignmentError(f"{leaf_name!r} is not a leaf node") from None
+        return list(self._by_leaf[position])
 
     def instances_under(self, node_name: str) -> List[str]:
         """All instances supplied by the subtree rooted at ``node_name``."""
-        node = self.topology.node(node_name)
-        result: List[str] = []
-        for leaf in node.leaves():
-            result.extend(self._members.get(leaf.name, []))
-        return result
+        lo, hi = self.topology.leaf_span(node_name)
+        return [i for members in self._by_leaf[lo:hi] for i in members]
 
     def occupancy(self) -> Dict[str, int]:
         """Instances per leaf (zero-filled for empty leaves)."""
         return {
-            leaf.name: len(self._members.get(leaf.name, []))
-            for leaf in self.topology.leaves()
+            leaf.name: len(members)
+            for leaf, members in zip(self.topology.leaves(), self._by_leaf)
         }
 
     def free_capacity(self) -> Dict[str, Optional[int]]:
         """Remaining instance slots per leaf (None = unbounded)."""
-        result: Dict[str, Optional[int]] = {}
-        for leaf in self.topology.leaves():
-            used = len(self._members.get(leaf.name, []))
-            result[leaf.name] = None if leaf.capacity is None else leaf.capacity - used
-        return result
+        return {
+            leaf.name: None if leaf.capacity is None else leaf.capacity - len(members)
+            for leaf, members in zip(self.topology.leaves(), self._by_leaf)
+        }
 
     # ------------------------------------------------------------------
     def with_swap(self, instance_a: str, instance_b: str) -> "Assignment":

@@ -176,7 +176,7 @@ def plan_expansion(
     )
     extra: Dict[str, int] = {leaf.name: 0 for leaf in view.topology.leaves()}
     for leaf in leaves:
-        path = [node.name for node in leaf.path_from_root()]
+        path = [node.name for node in view.topology.path_from_root(leaf.name)]
         fit = int(min(headroom[name] for name in path) // per_server_watts)
         if respect_leaf_capacity and leaf.capacity is not None:
             used = len(view.assignment.instances_on_leaf(leaf.name))

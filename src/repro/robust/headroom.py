@@ -198,7 +198,7 @@ class RobustHeadroomIndex:
         }
         self._leaf_of: Dict[str, str] = {}
         self._paths: Dict[str, List[str]] = {
-            leaf.name: [node.name for node in leaf.path_from_root()]
+            leaf.name: [node.name for node in topology.path_from_root(leaf.name)]
             for leaf in topology.leaves()
         }
 

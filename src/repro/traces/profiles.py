@@ -96,7 +96,11 @@ class ServiceProfile:
 
     # ------------------------------------------------------------------
     def activity(self, hours_of_day: np.ndarray) -> np.ndarray:
-        """Normalised activity level in ``[0, 1]`` for each hour-of-day."""
+        """Normalised activity level in ``[0, 1]`` for each hour-of-day.
+
+        ``hours_of_day`` may carry leading axes (one row per instance); the
+        shape is normalised along the last axis, row by row.
+        """
         if self.shape == Shape.FLAT:
             return np.full_like(hours_of_day, 1.0, dtype=np.float64)
         if self.shape == Shape.DIURNAL or self.shape == Shape.NOCTURNAL:
@@ -105,15 +109,13 @@ class ServiceProfile:
             morning = _von_mises_bump(hours_of_day, self.peak_hour - 5.0, self.sharpness)
             evening = _von_mises_bump(hours_of_day, self.peak_hour + 5.0, self.sharpness)
             combined = 0.45 * morning + 0.55 * evening
-            return combined / combined.max() if combined.max() > 0 else combined
+            return _normalise_rows(combined)
         if self.shape == Shape.OFFICE:
             # Smooth plateau across business hours centred on peak_hour.
             lo, hi = self.peak_hour - 4.5, self.peak_hour + 4.5
             ramp = 1.0 / (1.0 + np.exp(-(hours_of_day - lo) * self.sharpness))
             fall = 1.0 / (1.0 + np.exp((hours_of_day - hi) * self.sharpness))
-            plateau = ramp * fall
-            peak = plateau.max()
-            return plateau / peak if peak > 0 else plateau
+            return _normalise_rows(ramp * fall)
         raise AssertionError(f"unhandled shape {self.shape!r}")
 
     def with_heterogeneity(self, scale: float) -> "ServiceProfile":
@@ -147,6 +149,12 @@ class ServiceProfile:
         mean_activity = float(self.activity(hours).mean())
         weekly = (5.0 + 2.0 * self.weekend_factor) / 7.0
         return self.idle_watts + self.swing_watts * mean_activity * weekly
+
+
+def _normalise_rows(shape: np.ndarray) -> np.ndarray:
+    """Scale each last-axis row to peak at 1 (all-zero rows stay zero)."""
+    peak = shape.max(axis=-1, keepdims=True)
+    return np.divide(shape, peak, out=shape, where=peak > 0)
 
 
 def _von_mises_bump(hours: np.ndarray, peak_hour: float, kappa: float) -> np.ndarray:

@@ -48,6 +48,18 @@ class PowerTrace:
         self.grid = grid
         self.values = array
 
+    @classmethod
+    def _trusted(cls, grid: TimeGrid, values: np.ndarray) -> "PowerTrace":
+        """Wrap ``values`` without copying or re-checking them.
+
+        For rows of a matrix that was validated as a whole (1-D float64 of
+        ``grid.n_samples`` finite, non-negative readings).
+        """
+        trace = cls.__new__(cls)
+        trace.grid = grid
+        trace.values = values
+        return trace
+
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------

@@ -12,9 +12,10 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
+from .grid import TimeGrid
 from .instance import InstanceRecord, group_by_service
 from .series import PowerTrace
-from .traceset import TraceSet
+from .traceset import TraceSet, row_source
 
 
 def service_power_trace(records: Sequence[InstanceRecord]) -> PowerTrace:
@@ -24,12 +25,8 @@ def service_power_trace(records: Sequence[InstanceRecord]) -> PowerTrace:
     services = {record.service for record in records}
     if len(services) > 1:
         raise ValueError(f"records span multiple services: {sorted(services)}")
-    grid = records[0].training_trace.grid
-    total = np.zeros(grid.n_samples)
-    for record in records:
-        grid.require_same(record.training_trace.grid)
-        total += record.training_trace.values
-    return PowerTrace(grid, total / len(records))
+    matrix, rows = row_source([record.training_trace for record in records])
+    return PowerTrace(records[0].training_trace.grid, _mean_row(matrix[rows]))
 
 
 def build_service_traces(
@@ -48,9 +45,20 @@ def total_energy_by_service(records: Iterable[InstanceRecord]) -> Dict[str, floa
     This is the quantity behind Figure 5's "30-day average power consumption"
     breakdown: the share of each service in the datacenter's energy.
     """
+    records = list(records)
+    return _sum_by_service(
+        [record.service for record in records],
+        [record.training_trace.energy() for record in records],
+    )
+
+
+def _sum_by_service(
+    services: Sequence[str], energies: Sequence[float]
+) -> Dict[str, float]:
+    """Per-service totals, accumulated in instance order."""
     energy: Dict[str, float] = {}
-    for record in records:
-        energy[record.service] = energy.get(record.service, 0.0) + record.training_trace.energy()
+    for service, value in zip(services, energies):
+        energy[service] = energy.get(service, 0.0) + value
     return energy
 
 
@@ -62,9 +70,13 @@ def top_power_consumers(
     These are the services whose S-traces span the asynchrony-score space
     (the set *B* of Sec. 3.5).  Ties break by service name for determinism.
     """
+    return _top_services(total_energy_by_service(records), top_m)
+
+
+def _top_services(energy: Dict[str, float], top_m: int) -> List[str]:
+    """The ``top_m`` services by energy, largest first (ties by name)."""
     if top_m <= 0:
         raise ValueError(f"top_m must be positive, got {top_m}")
-    energy = total_energy_by_service(records)
     ranked = sorted(energy.items(), key=lambda item: (-item[1], item[0]))
     return [service for service, _ in ranked[:top_m]]
 
@@ -78,7 +90,35 @@ def extract_basis_traces(
     the basis *{PS_1 .. PS_m}* of Figure 7.  ``top_m`` is clamped to the
     number of distinct services.
     """
-    services = top_power_consumers(records, top_m)
-    grouped = group_by_service(records)
-    traces = {service: service_power_trace(grouped[service]) for service in services}
-    return TraceSet.from_traces(traces)
+    if not records:
+        raise ValueError("service has no instances")
+    matrix, rows = row_source([record.training_trace for record in records])
+    return basis_from_matrix(
+        matrix[rows],
+        [record.service for record in records],
+        records[0].training_trace.grid,
+        top_m,
+    )
+
+
+def basis_from_matrix(
+    matrix: np.ndarray, services: Sequence[str], grid: TimeGrid, top_m: int
+) -> "TraceSet":
+    """:func:`extract_basis_traces` for training traces held as matrix rows.
+
+    Row *i* of ``matrix`` is the averaged I-trace of an instance of
+    ``services[i]``.  Energies and S-traces are reduced in row order, so
+    the result is bit-identical to the record-based computation.
+    """
+    energies = (matrix.sum(axis=1) * grid.step_minutes).tolist()
+    top = _top_services(_sum_by_service(services, energies), top_m)
+    rows_of: Dict[str, List[int]] = {}
+    for row, service in enumerate(services):
+        rows_of.setdefault(service, []).append(row)
+    strace = np.stack([_mean_row(matrix[rows_of[service]]) for service in top])
+    return TraceSet(grid, top, strace)
+
+
+def _mean_row(matrix: np.ndarray) -> np.ndarray:
+    """Eq. 5: rows added in order, then divided by their count."""
+    return matrix.sum(axis=0) / matrix.shape[0]

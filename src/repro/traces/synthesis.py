@@ -50,14 +50,27 @@ def draw_personality(
     profile: ServiceProfile, rng: np.random.Generator
 ) -> InstancePersonality:
     """Sample one instance's personality from the profile's jitter model."""
-    phase = float(rng.normal(0.0, profile.phase_jitter_hours))
-    amplitude = float(
-        np.clip(rng.normal(1.0, profile.amplitude_jitter), 0.2, 3.0)
-    )
-    baseline = float(
-        np.clip(rng.normal(1.0, profile.baseline_jitter), 0.2, 3.0)
-    )
-    return InstancePersonality(phase, amplitude, baseline)
+    phase, amplitude, baseline = _personalities(profile, rng.standard_normal((1, 3)))
+    return InstancePersonality(float(phase[0]), float(amplitude[0]), float(baseline[0]))
+
+
+def _personalities(
+    profile: ServiceProfile, z: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase offsets, amplitude and baseline scales from ``(rows, 3)`` normals.
+
+    ``normal(loc, s)`` is ``loc + s·z`` on the next standard normal ``z``.
+    """
+    phase = 0.0 + profile.phase_jitter_hours * z[:, 0]
+    amplitude = np.clip(1.0 + profile.amplitude_jitter * z[:, 1], 0.2, 3.0)
+    baseline = np.clip(1.0 + profile.baseline_jitter * z[:, 2], 0.2, 3.0)
+    return phase, amplitude, baseline
+
+
+#: Instances drawn per block by :meth:`TraceSynthesizer.fleet`.  One block
+#: holds its normal draws and a few ``(rows, n_samples)`` temporaries, so
+#: a fixed block keeps the working set to a few MB whatever the fleet size.
+BLOCK_ROWS = 256
 
 
 class TraceSynthesizer:
@@ -74,6 +87,12 @@ class TraceSynthesizer:
     seed:
         Seed for the top-level RNG.  All randomness flows from here, so a
         given (seed, fleet spec) pair is fully reproducible.
+
+    Every instance consumes one fixed-length run of standard normals from
+    the RNG — three personality draws, one drift draw per week, then the
+    AR(1) white noise (absent when the profile is noiseless) — so a block
+    of instances is one ``standard_normal((rows, width))`` draw and the
+    result does not depend on how a fleet is cut into blocks.
     """
 
     def __init__(
@@ -98,33 +117,66 @@ class TraceSynthesizer:
     ) -> PowerTrace:
         """One instance's raw multi-week power trace."""
         rng = rng if rng is not None else self._rng
-        if personality is None:
-            personality = draw_personality(profile, rng)
+        values = self._raw_block(profile, 1, rng, personality)[0]
+        return PowerTrace(self.grid, values)
 
-        hours = self.grid.hours_of_day() - personality.phase_offset_hours
-        activity = profile.activity(np.mod(hours, 24.0))
+    def _raw_block(
+        self,
+        profile: ServiceProfile,
+        rows: int,
+        rng: np.random.Generator,
+        personality: Optional[InstancePersonality] = None,
+    ) -> np.ndarray:
+        """Raw multi-week traces of ``rows`` instances, shape ``(rows, n)``.
+
+        Every ``normal(loc, s)`` draw is written as ``loc + s·z`` on the
+        block's standard normals, so row *i* equals what drawing instance
+        *i*'s values one at a time would give.  With a fixed
+        ``personality`` the three personality draws are skipped.
+        """
+        n = self.grid.n_samples
+        kernel = _ar1_kernel(n) if profile.noise_std != 0 else None
+        lead = 3 if personality is None else 0
+        noise_width = 0 if kernel is None else n + len(kernel) - 1
+        z = rng.standard_normal((rows, lead + self.weeks + noise_width))
+
+        if personality is None:
+            phase, amplitude, baseline = _personalities(profile, z[:, :3])
+        else:
+            phase = np.full(rows, personality.phase_offset_hours)
+            amplitude = np.full(rows, personality.amplitude_scale)
+            baseline = np.full(rows, personality.baseline_scale)
+
+        hours = self.grid.hours_of_day() - phase[:, np.newaxis]
+        np.mod(hours, 24.0, out=hours)
+        activity = profile.activity(hours)
 
         # Weekly structure: weekends dampened for user-facing services.
-        day_of_week = self.grid.days_of_week()
-        weekend = (day_of_week >= 5).astype(np.float64)
+        weekend = (self.grid.days_of_week() >= 5).astype(np.float64)
         weekly = 1.0 - weekend * (1.0 - profile.weekend_factor)
+        utilisation = activity * weekly
 
         # Week-over-week drift: each week gets a small load multiplier.
-        per_week = self.grid.samples_per_week
-        week_scale = rng.normal(1.0, 0.03, size=self.weeks).clip(0.8, 1.2)
-        week_factor = np.repeat(week_scale, per_week)[: self.grid.n_samples]
+        week_scale = (1.0 + 0.03 * z[:, lead : lead + self.weeks]).clip(0.8, 1.2)
+        by_week = utilisation.reshape(rows, self.weeks, self.grid.samples_per_week)
+        by_week *= week_scale[:, :, np.newaxis]
 
-        # AR(1)-correlated multiplicative noise (sensor + load jitter).
-        noise = _ar1_noise(self.grid.n_samples, profile.noise_std, rng)
+        if kernel is not None:
+            # AR(1)-correlated multiplicative noise (sensor + load jitter).
+            white = 0.0 + profile.noise_std * z[:, lead + self.weeks :]
+            noise = np.empty((rows, n))
+            for row in range(rows):
+                noise[row] = np.convolve(white[row], kernel, mode="valid")
+            noise += 1.0
+            utilisation *= noise
+        np.clip(utilisation, 0.0, 1.5, out=utilisation)
 
-        utilisation = activity * weekly * week_factor * (1.0 + noise)
-        utilisation = np.clip(utilisation, 0.0, 1.5)
+        # values = idle + swing × utilisation, built in place.
+        utilisation *= (profile.swing_watts * amplitude)[:, np.newaxis]
+        utilisation += (profile.idle_watts * baseline)[:, np.newaxis]
+        return np.maximum(utilisation, 0.0, out=utilisation)
 
-        idle = profile.idle_watts * personality.baseline_scale
-        swing = profile.swing_watts * personality.amplitude_scale
-        values = idle + swing * utilisation
-        return PowerTrace(self.grid, np.maximum(values, 0.0))
-
+    # ------------------------------------------------------------------
     def service_instances(
         self,
         profile: ServiceProfile,
@@ -140,23 +192,9 @@ class TraceSynthesizer:
         """
         if count <= 0:
             raise ValueError("count must be positive")
+        training, test = self._allocate(count, test_weeks)
         prefix = id_prefix if id_prefix is not None else profile.name
-        with obs.span("synthesize.service", service=profile.name, count=count):
-            obs.count("synthesize.instances", count)
-            records: List[InstanceRecord] = []
-            for index in range(count):
-                instance = ServiceInstance(
-                    instance_id=f"{prefix}-{index:05d}",
-                    service=profile.name,
-                    kind=profile.kind,
-                )
-                raw = self.instance_trace(profile)
-                records.append(
-                    InstanceRecord.from_weeks(
-                        instance, raw.split_weeks(), test_weeks=test_weeks
-                    )
-                )
-            return records
+        return self._service_records(profile, prefix, training, test, test_weeks)
 
     def fleet(
         self,
@@ -164,32 +202,124 @@ class TraceSynthesizer:
         *,
         test_weeks: int = 1,
     ) -> List[InstanceRecord]:
-        """Instance records for a whole fleet given (profile, count) pairs."""
+        """Instance records for a whole fleet given (profile, count) pairs.
+
+        The records' traces are row views of one fleet training matrix and
+        one test matrix, in composition order.
+        """
         with obs.span("synthesize", services=len(composition)):
+            if any(count <= 0 for _, count in composition):
+                raise ValueError("count must be positive")
+            total = sum(count for _, count in composition)
+            training, test = self._allocate(total, test_weeks)
             records: List[InstanceRecord] = []
+            start = 0
             for profile, count in composition:
+                stop = start + count
                 records.extend(
-                    self.service_instances(profile, count, test_weeks=test_weeks)
+                    self._service_records(
+                        profile,
+                        profile.name,
+                        training[start:stop],
+                        None if test is None else test[start:stop],
+                        test_weeks,
+                    )
+                )
+                start = stop
+            return records
+
+    def _allocate(
+        self, rows: int, test_weeks: int
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Empty training and test matrices for ``rows`` instances."""
+        if test_weeks < 0:
+            raise ValueError("test_weeks cannot be negative")
+        if self.weeks <= test_weeks:
+            raise ValueError(
+                f"need more than {test_weeks} weeks of telemetry, "
+                f"got {self.weeks}"
+            )
+        per_week = self.grid.samples_per_week
+        training = np.empty((rows, per_week))
+        test = np.empty((rows, per_week)) if test_weeks else None
+        return training, test
+
+    def _service_records(
+        self,
+        profile: ServiceProfile,
+        prefix: str,
+        training: np.ndarray,
+        test: Optional[np.ndarray],
+        test_weeks: int,
+    ) -> List[InstanceRecord]:
+        """Fill ``training``/``test`` block by block and wrap each row.
+
+        The training row is the Eq.-4 average of the first
+        ``weeks - test_weeks`` weeks (added in order, then divided); the
+        test row is the last week.
+        """
+        count = training.shape[0]
+        per_week = self.grid.samples_per_week
+        training_weeks = self.weeks - test_weeks
+        with obs.span("synthesize.service", service=profile.name, count=count):
+            obs.count("synthesize.instances", count)
+            for start in range(0, count, BLOCK_ROWS):
+                stop = min(start + BLOCK_ROWS, count)
+                raw = self._raw_block(profile, stop - start, self._rng)
+                by_week = raw.reshape(stop - start, self.weeks, per_week)
+                total = by_week[:, 0].copy()
+                for week in range(1, training_weeks):
+                    total = total + by_week[:, week]
+                training[start:stop] = total / training_weeks
+                if test is not None:
+                    test[start:stop] = by_week[:, -1]
+
+            for matrix in (training, test):
+                if matrix is not None and not (
+                    np.isfinite(matrix).all() and (matrix >= 0).all()
+                ):
+                    raise ValueError(
+                        f"{profile.name}: synthesised power must be finite "
+                        "and non-negative"
+                    )
+
+            step = self.grid.step_minutes
+            training_grid = TimeGrid(0, step, per_week)
+            test_grid = TimeGrid((self.weeks - 1) * per_week * step, step, per_week)
+            records: List[InstanceRecord] = []
+            for index in range(count):
+                instance = ServiceInstance(
+                    instance_id=f"{prefix}-{index:05d}",
+                    service=profile.name,
+                    kind=profile.kind,
+                )
+                records.append(
+                    InstanceRecord(
+                        instance=instance,
+                        training_trace=PowerTrace._trusted(
+                            training_grid, training[index]
+                        ),
+                        test_trace=(
+                            None
+                            if test is None
+                            else PowerTrace._trusted(test_grid, test[index])
+                        ),
+                    )
                 )
             return records
 
 
-def _ar1_noise(
-    n_samples: int, std: float, rng: np.random.Generator, rho: float = 0.9
-) -> np.ndarray:
-    """Zero-mean temporally-correlated noise with marginal std ``std``.
+def _ar1_kernel(n_samples: int, rho: float = 0.9) -> np.ndarray:
+    """Unit-energy truncated AR(1) impulse response.
 
-    Implemented as white noise convolved with a truncated exponential
-    kernel (the AR(1) impulse response), which vectorises cleanly.
+    Convolving white noise of std ``s`` with it gives temporally-correlated
+    noise with marginal std ``s``.
     """
-    if std == 0:
-        return np.zeros(n_samples)
     # Kernel length where rho^k becomes negligible.
     length = min(n_samples, max(8, int(np.ceil(np.log(1e-3) / np.log(rho)))))
     kernel = rho ** np.arange(length)
     kernel /= np.sqrt((kernel * kernel).sum())  # unit marginal variance
-    white = rng.normal(0.0, std, size=n_samples + length - 1)
-    return np.convolve(white, kernel, mode="valid")
+    return kernel
 
 
 def training_trace_set(records: Sequence[InstanceRecord]) -> TraceSet:

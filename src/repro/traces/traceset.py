@@ -9,7 +9,7 @@ placement framework needs (row peaks, group aggregates, sub-setting).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,12 +64,9 @@ class TraceSet:
         if not traces:
             raise ValueError("cannot build an empty TraceSet")
         ids = list(traces.keys())
-        grid = traces[ids[0]].grid
-        matrix = np.empty((len(ids), grid.n_samples))
-        for row, tid in enumerate(ids):
-            grid.require_same(traces[tid].grid)
-            matrix[row] = traces[tid].values
-        return cls(grid, ids, matrix)
+        members = list(traces.values())
+        matrix, rows = row_source(members)
+        return cls(members[0].grid, ids, matrix[rows])
 
     # ------------------------------------------------------------------
     # basic container protocol
@@ -184,3 +181,51 @@ class TraceSet:
             np.vstack([self.matrix, other.matrix]),
             dtype=np.result_type(self.matrix, other.matrix),
         )
+
+
+def row_source(traces: Sequence[PowerTrace]) -> Tuple[np.ndarray, np.ndarray]:
+    """A matrix and row indices with ``matrix[rows[i]]`` equal to ``traces[i].values``.
+
+    When every trace is a whole-row view of one C-contiguous matrix — as
+    the records of a synthesised fleet are — that matrix is returned
+    without copying, so callers can work on row indices into it.
+    Otherwise the values are stacked into a new matrix.  Raises unless
+    all traces share one grid.
+    """
+    if not traces:
+        raise ValueError("no traces given")
+    grid = traces[0].grid
+    for trace in traces:
+        if trace.grid is not grid:
+            grid.require_same(trace.grid)
+    rows = _shared_rows(traces)
+    if rows is not None:
+        return traces[0].values.base, rows
+    return np.stack([trace.values for trace in traces]), np.arange(len(traces))
+
+
+def _shared_rows(traces: Sequence[PowerTrace]) -> Optional[np.ndarray]:
+    """Row numbers of ``traces`` in their common base matrix, if they have one."""
+    first = traces[0].values
+    base = first.base
+    if not (
+        isinstance(base, np.ndarray)
+        and base.ndim == 2
+        and base.flags.c_contiguous
+        and base.dtype == first.dtype
+        and base.shape[1] == first.shape[0]
+        and first.strides == (base.itemsize,)
+    ):
+        return None
+    origin = base.__array_interface__["data"][0]
+    stride = base.strides[0]
+    rows = np.empty(len(traces), dtype=np.intp)
+    for i, trace in enumerate(traces):
+        values = trace.values
+        if values.base is not base or values.strides != first.strides:
+            return None
+        offset = values.__array_interface__["data"][0] - origin
+        if offset % stride:
+            return None
+        rows[i] = offset // stride
+    return rows

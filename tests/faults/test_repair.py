@@ -158,3 +158,48 @@ class TestReport:
         summary = report.summary()
         assert summary["missing"] == report.n_missing_input
         assert 0 < report.repaired_fraction < 1
+
+
+class TestRepairFixpoint:
+    """A re-fill pass that rebuilds its flags unchanged ends the loop.
+
+    DC1 at 480 instances under ``sensor_dropout`` re-seeded to 111 flags a
+    stuck run whose interpolation reproduces it exactly.  Detection used to
+    re-flag it until the pass cap; the repaired traces pinned below are
+    the ones that capped loop produced.
+    """
+
+    CLEAN_SHA256 = "e78a1ba297a2b45f8b0630eb519b92257e5b36984b26b282ff8b0d405c0afceb"
+
+    @pytest.fixture(scope="class")
+    def repaired(self):
+        import hashlib
+        from dataclasses import replace
+
+        from repro.analysis import experiments
+        from repro.faults.harness import DEFAULT_SUITE
+
+        dc = experiments.get_datacenter("DC1", n_instances=480)
+        scenario = replace(DEFAULT_SUITE[1], seed=111)
+        assert scenario.name == "sensor_dropout"
+        dirty = dirty_copy(dc.training_traces(), scenario.fault_plan())
+        outcome = repair_telemetry(dirty)
+        digest = hashlib.sha256(outcome.traces.matrix.tobytes()).hexdigest()
+        return dc, outcome, digest
+
+    def test_output_unchanged(self, repaired):
+        dc, outcome, digest = repaired
+        assert digest == self.CLEAN_SHA256
+        assert outcome.traces.ids == dc.training_traces().ids
+        assert outcome.traces.grid == dc.training_traces().grid
+        assert outcome.report.dead_traces == []
+        assert outcome.report.n_missing_input == 2850
+
+    def test_stops_after_few_passes(self, repaired):
+        _, outcome, _ = repaired
+        assert 1 <= outcome.report.passes <= 3
+
+    def test_second_repair_is_identity(self, repaired):
+        _, outcome, _ = repaired
+        again = repair_telemetry(outcome.traces)
+        assert np.array_equal(again.traces.matrix, outcome.traces.matrix)
