@@ -26,12 +26,23 @@ from ..traces.traceset import TraceSet
 
 ArrayLike = Union[np.ndarray, Sequence[float]]
 
-#: Default ceiling on the broadcast block a :func:`score_matrix` chunk may
-#: materialise.  At ``chunk_size=256``, 20 basis services, and a week of
-#: per-minute samples the naive block is ~415 MB; the bound derives an
-#: effective chunk size that keeps it under ~128 MB while leaving small
-#: inputs on the configured chunk size.
+#: Default ceiling for :func:`score_matrix`'s chunk sizing.  A chunk may
+#: hold at most ``max_bytes // (n_basis × n_samples × itemsize)`` rows:
+#: the rows whose full ``(chunk, n_basis, n_samples)`` sum block would fit
+#: in the bound.  The kernel never builds that block, so a chunk's real
+#: working set (its rows in the work dtype, its scores and one tile
+#: buffer) stays well below the bound; at the default the bound only
+#: shrinks the chunk for very long traces or very large bases.
 DEFAULT_SCORE_MAX_BYTES = 128 * 1024 * 1024
+
+#: Size of the sum buffer :func:`_score_rows` reduces at once: a tile of
+#: rows whose ``(rows, n_basis, n_samples)`` sums fit in it (6 rows for
+#: 10 float64 basis traces of a 10-minute week, 97 for 8 float32 traces
+#: of an hourly week), so the buffer stays in cache between the add and
+#: the max.  Sized in bytes rather than rows because a fixed row count
+#: is either too large for long traces or, for short ones, leaves the
+#: kernel paying per-call overhead on tiny tiles.
+SCORE_TILE_BYTES = 512 * 1024
 
 #: Below this many instance rows a :func:`score_matrix` call ignores
 #: ``workers``: publishing shared segments and round-tripping the pool
@@ -90,18 +101,22 @@ def score_matrix(
 ) -> np.ndarray:
     """I-to-S score vectors for a whole fleet, shape ``(n_instances, n_basis)``.
 
-    Vectorised and chunked: computing ``peak(PI_i + PS_k)`` for all (i, k)
-    pairs materialises an ``(chunk, n_basis, n_samples)`` block at a time
-    rather than the full fleet tensor.  The effective chunk size is the
-    smaller of ``chunk_size`` and what fits a block into ``max_bytes``
-    (pass ``max_bytes=None`` to disable the bound); results are identical
-    whatever the chunking, only memory and locality change.
+    Rows are scored a chunk at a time: each chunk is cast to the work
+    dtype and its combined peaks ``peak(PI_i + PS_k)`` are reduced over
+    small row tiles in one reused, cache-sized buffer, so no
+    ``(chunk, n_basis, n_samples)`` block is ever built.  ``chunk_size``
+    bounds the rows per chunk, and so the size of the chunk's row copy
+    and score block.  ``max_bytes`` caps it further, at the rows whose
+    full sum block would fit in ``max_bytes`` (see
+    :data:`DEFAULT_SCORE_MAX_BYTES`); pass ``max_bytes=None`` to chunk
+    by ``chunk_size`` alone.  Results are identical whatever the
+    chunking, only memory and locality change.
 
-    ``dtype`` is the exactness toggle: ``None`` (default) broadcasts in
+    ``dtype`` is the exactness toggle: ``None`` (default) sums in
     float64 — bit-identical to every historical result — while
-    ``np.float32`` is the fleet-scale fast path, halving the broadcast
-    block's memory traffic at the cost of float32 rounding in the peaks
-    (scores still come back float64).
+    ``np.float32`` is the fleet-scale fast path, halving the scoring
+    memory traffic at the cost of float32 rounding in the peaks (scores
+    still come back float64).
 
     ``workers > 1`` shards the rows across the persistent worker pool
     (:mod:`repro.engine.parallel`) over shared-memory views of the two
@@ -219,17 +234,36 @@ def _score_shard(
     return scores
 
 
-def _score_rows(rows: np.ndarray, basis_matrix: np.ndarray) -> np.ndarray:
-    """Score each row trace against every basis trace (dense broadcast).
+def _tile_rows(basis_matrix: np.ndarray, work_dtype: np.dtype) -> int:
+    """Rows per :func:`_score_rows` tile: as many as fit
+    :data:`SCORE_TILE_BYTES` of sums, at least one."""
+    row_bytes = basis_matrix.shape[0] * basis_matrix.shape[1] * work_dtype.itemsize
+    return max(1, SCORE_TILE_BYTES // max(row_bytes, 1))
 
-    ``rows`` and ``basis_matrix`` must share a dtype; the broadcast runs in
-    that dtype (the float32 fast path halves its footprint) and the scores
-    are returned as float64 either way.
+
+def _score_rows(rows: np.ndarray, basis_matrix: np.ndarray) -> np.ndarray:
+    """Score each row trace against every basis trace.
+
+    The sums run in ``np.result_type(rows, basis_matrix)`` (the float32
+    fast path stays float32) and the scores are returned as float64.
+    Combined peaks are reduced one row tile (:func:`_tile_rows`) at a
+    time in one reused buffer, which stays in cache; a maximum of the
+    same sums does not depend on the tiling, so the result equals a full
+    ``(rows, n_basis, n_samples)`` broadcast bit for bit.
     """
+    work_dtype = np.result_type(rows, basis_matrix)
+    tile_rows = _tile_rows(basis_matrix, work_dtype)
     row_peaks = rows.max(axis=1)                          # (c,)
     basis_peaks = basis_matrix.max(axis=1)                # (m,)
-    # (c, m, T) broadcast sum, reduced over T immediately.
-    combined_peaks = (rows[:, np.newaxis, :] + basis_matrix[np.newaxis, :, :]).max(axis=2)
+    combined_peaks = np.empty((rows.shape[0], basis_matrix.shape[0]), work_dtype)
+    buffer = np.empty(
+        (min(tile_rows, rows.shape[0]),) + basis_matrix.shape, work_dtype
+    )
+    for start in range(0, rows.shape[0], tile_rows):
+        tile = rows[start : start + tile_rows]
+        sums = buffer[: tile.shape[0]]
+        np.add(tile[:, np.newaxis, :], basis_matrix[np.newaxis, :, :], out=sums)
+        sums.max(axis=2, out=combined_peaks[start : start + tile.shape[0]])
     numerator = row_peaks[:, np.newaxis] + basis_peaks[np.newaxis, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(combined_peaks > 0, numerator / combined_peaks, 1.0)

@@ -53,9 +53,11 @@ class PlacementConfig:
         recursion step (matches Sec. 3.5's description).  When False the
         datacenter-level basis is reused throughout, which is faster.
     score_max_bytes:
-        Ceiling on the broadcast block one scoring chunk may materialise
-        (see :func:`repro.core.asynchrony.score_matrix`); ``None`` disables
-        the bound and chunks purely by ``score_chunk_size``.
+        Caps a scoring chunk at the rows whose full
+        ``(chunk, n_basis, n_samples)`` sum block would fit in this many
+        bytes (see :func:`repro.core.asynchrony.score_matrix`; the kernel
+        reduces small tiles and never builds that block); ``None``
+        disables the cap and chunks purely by ``score_chunk_size``.
     score_workers:
         Worker processes for the I-to-S scoring stage.  Above 1, fleet-
         scale :func:`~repro.core.asynchrony.score_matrix` calls shard their
@@ -64,7 +66,7 @@ class PlacementConfig:
         scores are independent).
     score_dtype:
         Exactness toggle forwarded to the scorer: ``None`` (default) keeps
-        the bit-exact float64 broadcast, ``numpy.float32`` halves the
+        the bit-exact float64 sums, ``numpy.float32`` halves the
         scoring stage's memory traffic at the cost of float32 rounding.
     """
 

@@ -134,14 +134,25 @@ def provision_hierarchical(
     if margin < 0:
         raise ValueError("margin cannot be negative")
     budgets: Dict[str, float] = {}
-
-    def visit(node) -> float:
-        if node.is_leaf:
-            budgets[node.name] = view.node_peak(node.name) * (1.0 + margin)
-        else:
-            budgets[node.name] = sum(visit(child) for child in node.children)
-        return budgets[node.name]
-
-    visit(view.topology.root)
+    _provision_subtree(view.topology.root, view, margin, budgets)
     apply_budgets(view.topology, budgets)
     return budgets
+
+
+def _provision_subtree(
+    node, view: NodePowerView, margin: float, budgets: Dict[str, float]
+) -> float:
+    """Fill ``budgets`` for ``node``'s subtree in post-order; its budget.
+
+    A module-level function rather than a recursive closure: a closure
+    that calls itself is a reference cycle, which would keep ``view`` and
+    its trace matrix alive until the cyclic collector next runs.
+    """
+    if node.is_leaf:
+        budgets[node.name] = view.node_peak(node.name) * (1.0 + margin)
+    else:
+        budgets[node.name] = sum(
+            _provision_subtree(child, view, margin, budgets)
+            for child in node.children
+        )
+    return budgets[node.name]

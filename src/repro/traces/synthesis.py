@@ -147,19 +147,26 @@ class TraceSynthesizer:
             amplitude = np.full(rows, personality.amplitude_scale)
             baseline = np.full(rows, personality.baseline_scale)
 
-        hours = self.grid.hours_of_day() - phase[:, np.newaxis]
+        # Timestamps are whole minutes, so the hour of day repeats bit for
+        # bit every day: the activity shape is evaluated on one day and
+        # tiled (a row's maximum, which the shapes normalise by, is the
+        # same over one day as over the whole grid).
+        per_day = self.grid.samples_per_day
+        per_week = self.grid.samples_per_week
+        hours = self.grid.hours_of_day()[:per_day] - phase[:, np.newaxis]
         np.mod(hours, 24.0, out=hours)
-        activity = profile.activity(hours)
+        activity = np.tile(profile.activity(hours), 7)
 
         # Weekly structure: weekends dampened for user-facing services.
-        weekend = (self.grid.days_of_week() >= 5).astype(np.float64)
+        weekend = (self.grid.days_of_week()[:per_week] >= 5).astype(np.float64)
         weekly = 1.0 - weekend * (1.0 - profile.weekend_factor)
-        utilisation = activity * weekly
+        week = activity * weekly
 
         # Week-over-week drift: each week gets a small load multiplier.
         week_scale = (1.0 + 0.03 * z[:, lead : lead + self.weeks]).clip(0.8, 1.2)
-        by_week = utilisation.reshape(rows, self.weeks, self.grid.samples_per_week)
-        by_week *= week_scale[:, :, np.newaxis]
+        utilisation = (
+            week[:, np.newaxis, :] * week_scale[:, :, np.newaxis]
+        ).reshape(rows, n)
 
         if kernel is not None:
             # AR(1)-correlated multiplicative noise (sensor + load jitter).

@@ -1,5 +1,7 @@
 """Unit tests for budget provisioning policies."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -100,3 +102,15 @@ class TestHierarchical:
         _, view = setup
         with pytest.raises(ValueError):
             provision_hierarchical(view, margin=-0.1)
+
+    def test_leaves_no_reference_cycle(self, setup):
+        """A finished call leaves no garbage holding the view (and so its
+        trace matrix) alive until the cyclic collector runs."""
+        _, view = setup
+        gc.collect()
+        gc.disable()
+        try:
+            provision_hierarchical(view, margin=0.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

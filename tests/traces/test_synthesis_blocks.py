@@ -1,8 +1,10 @@
 """The block generator reproduces per-instance synthesis bit-for-bit.
 
 :meth:`TraceSynthesizer.fleet` draws each service in fixed-size blocks of
-instances.  ``_legacy_*`` below is a frozen copy of the one-instance-at-a-
-time generator it replaced; every comparison is exact (``array_equal``).
+instances and evaluates the activity shape on one day, tiled to the
+grid.  ``_legacy_*`` below is a frozen copy of the one-instance-at-a-time,
+full-grid generator it replaced; every comparison is exact
+(``array_equal``).
 """
 
 from dataclasses import replace
@@ -15,6 +17,7 @@ from repro.traces import (
     InstanceRecord,
     ServiceInstance,
     Shape,
+    TimeGrid,
     TraceSynthesizer,
     db_profile,
     dev_profile,
@@ -145,6 +148,38 @@ def test_fleet_matches_at_ten_minute_step():
     composition = [(web_profile(), BLOCK_ROWS + 1), (_noiseless(), 2)]
     new = TraceSynthesizer(weeks=3, step_minutes=10, seed=5).fleet(composition)
     _assert_same_records(new, _legacy_fleet(3, 10, 5, composition, 1))
+
+
+def _weekend_dip(shape):
+    return replace(web_profile(f"dip-{shape}"), shape=shape, weekend_factor=0.6)
+
+
+#: Every Shape with weekends damped, so the weekly factor is not all ones.
+WEEKEND_DIP = [(_weekend_dip(shape), 3) for shape in Shape.ALL]
+
+
+@pytest.mark.parametrize(
+    "step_minutes,weeks", [(5, 3), (15, 3), (30, 3), (1, 1)]
+)
+def test_fleet_matches_at_other_steps(step_minutes, weeks):
+    composition = WEEKEND_DIP + [(_noiseless(), 2)]
+    test_weeks = 1 if weeks > 1 else 0
+    new = TraceSynthesizer(weeks=weeks, step_minutes=step_minutes, seed=13).fleet(
+        composition, test_weeks=test_weeks
+    )
+    old = _legacy_fleet(weeks, step_minutes, 13, composition, test_weeks)
+    _assert_same_records(new, old)
+
+
+@pytest.mark.parametrize("shape", Shape.ALL)
+def test_one_day_of_activity_tiles_to_the_whole_grid(shape):
+    profile = _weekend_dip(shape)
+    grid = TimeGrid.for_weeks(3, step_minutes=10)
+    phase = np.array([[2.75], [-7.3], [0.4]])
+    hours = np.mod(grid.hours_of_day() - phase, 24.0)
+    one_day = profile.activity(hours[:, : grid.samples_per_day])
+    days = grid.n_samples // grid.samples_per_day
+    assert np.array_equal(np.tile(one_day, days), profile.activity(hours))
 
 
 def test_service_instances_match_and_keep_prefix():
