@@ -202,9 +202,8 @@ def _cmd_place(args: argparse.Namespace) -> None:
     dc = experiments.get_datacenter("DC1", n_instances=args.instances)
     operator = SmoothOperator(
         SmoothOperatorConfig(
-            placement=PlacementConfig(seed=0, score_workers=args.workers),
+            placement=PlacementConfig(seed=0),
             robust=RobustPlacementConfig(gamma=args.gamma),
-            workers=args.workers,
         )
     )
     outcome = operator.optimize(dc.records, dc.topology)
@@ -410,13 +409,13 @@ def _cmd_monitor(args: argparse.Namespace) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
-    """Render a unified run report for the parallel data plane.
+    """Render a unified run report for pooled ``run_many`` batches.
 
     By default reads a previously written RunReport JSON (produced by a
     run with ``REPRO_RUN_REPORT=<path>`` set, or by a benchmark).  With
     ``--run``, executes the chaos suite on a worker pool right now and
     reports on that run — the quickest way to see per-worker utilization
-    and shard imbalance on this machine.
+    and task imbalance on this machine.
     """
     import json
     import pathlib
@@ -512,7 +511,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for parallel stages (chaos, place, report commands)",
+        help="worker processes for the chaos and report commands",
     )
     parser.add_argument(
         "--task-timeout",
@@ -520,7 +519,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="S",
         help=(
-            "hard per-task deadline in seconds for pooled stages: hung "
+            "hard per-task deadline in seconds for pooled runs: hung "
             "workers are killed and the task retried; a soft (straggler) "
             "threshold of a quarter of this is set alongside"
         ),

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from .. import obs
-from ..engine.deadline import TaskDeadline, deadline_scope
 from ..infra.aggregation import NodePowerView, peak_reduction_by_level
 from ..infra.assignment import Assignment
 from ..infra.budget import provision_hierarchical
@@ -34,27 +33,11 @@ class SmoothOperatorConfig:
     :class:`repro.robust.placement.RobustPlacer` instead of the plain
     workload-aware placer — at ``gamma = 0`` the two coincide, so the
     default pipeline output is unchanged.
-
-    ``workers`` fans the parallelizable stages out across the persistent
-    worker pool: a sharded remap pass (when ``remap.shard_level`` is set)
-    runs per-shard, and the placement scoring stage follows
-    ``placement.score_workers``.  Every stage is deterministic for any
-    worker count; 1 (the default) keeps everything in-process.
-
-    ``deadline`` bounds pooled-stage completion under partial failure
-    (hang watchdog, straggler speculation, quarantine, serial degradation
-    — see :class:`repro.engine.deadline.TaskDeadline`): it is installed as
-    the process-default deadline for the duration of :meth:`SmoothOperator.optimize`,
-    so every pooled stage the run dispatches inherits it.  ``None`` (the
-    default) leaves whatever ambient default or ``REPRO_TASK_TIMEOUT``
-    environment setting is already in force.
     """
 
     placement: PlacementConfig = field(default_factory=PlacementConfig)
     remap: Optional[RemapConfig] = None
     robust: Optional["RobustPlacementConfig"] = None
-    workers: int = 1
-    deadline: Optional[TaskDeadline] = None
 
 
 @dataclass
@@ -113,9 +96,7 @@ class SmoothOperator:
         Γ = 0 fallback *is* the workload-aware placement) and any remap
         pass is seeded from the robust assignment.
         """
-        with deadline_scope(self.config.deadline), obs.span(
-            "pipeline.optimize", instances=len(records)
-        ):
+        with obs.span("pipeline.optimize", instances=len(records)):
             placement: Optional[PlacementResult] = None
             robust: Optional["RobustPlacementResult"] = None
             if self.config.robust is not None:
@@ -130,9 +111,7 @@ class SmoothOperator:
             remap: Optional[RemapResult] = None
             if self.config.remap is not None:
                 engine = RemappingEngine(self.config.remap)
-                remap = engine.run(
-                    base, training_trace_set(records), workers=self.config.workers
-                )
+                remap = engine.run(base, training_trace_set(records))
             return OptimizationOutcome(
                 placement=placement, remap=remap, robust=robust
             )

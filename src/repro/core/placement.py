@@ -27,7 +27,6 @@ from ..infra.assignment import Assignment, AssignmentError
 from ..infra.topology import PowerNode, PowerTopology
 from ..traces.grid import TimeGrid
 from ..traces.instance import InstanceRecord
-from ..traces.series import PowerTrace
 from ..traces.service import basis_from_matrix
 from ..traces.traceset import TraceSet, row_source
 from .asynchrony import DEFAULT_SCORE_MAX_BYTES, score_matrix
@@ -58,12 +57,6 @@ class PlacementConfig:
         bytes (see :func:`repro.core.asynchrony.score_matrix`; the kernel
         reduces small tiles and never builds that block); ``None``
         disables the cap and chunks purely by ``score_chunk_size``.
-    score_workers:
-        Worker processes for the I-to-S scoring stage.  Above 1, fleet-
-        scale :func:`~repro.core.asynchrony.score_matrix` calls shard their
-        rows across the persistent pool over shared memory; small per-node
-        batches stay serial, and results are identical either way (row
-        scores are independent).
     score_dtype:
         Exactness toggle forwarded to the scorer: ``None`` (default) keeps
         the bit-exact float64 sums, ``numpy.float32`` halves the
@@ -78,7 +71,6 @@ class PlacementConfig:
     rebuild_basis_per_node: bool = True
     score_chunk_size: int = 256
     score_max_bytes: Optional[int] = DEFAULT_SCORE_MAX_BYTES
-    score_workers: int = 1
     score_dtype: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -88,8 +80,6 @@ class PlacementConfig:
             raise ValueError("clusters_per_child must be positive")
         if self.score_max_bytes is not None and self.score_max_bytes <= 0:
             raise ValueError("score_max_bytes must be positive or None")
-        if self.score_workers < 1:
-            raise ValueError("score_workers must be at least 1")
 
 
 @dataclass
@@ -107,8 +97,6 @@ def scoped_placement(
     baseline: Assignment,
     scope_level: str,
     config: Optional[PlacementConfig] = None,
-    *,
-    workers: int = 1,
 ) -> Assignment:
     """Re-place each ``scope_level`` subtree independently, keeping every
     instance inside the subtree that currently powers it.
@@ -120,13 +108,6 @@ def scoped_placement(
     moves.  The cost is that cross-subtree imbalance in the original
     placement cannot be fixed — the global placer's reductions upper-bound
     the scoped ones.
-
-    Subtrees are independent by construction, so ``workers > 1`` fans them
-    out across the persistent pool: the fleet's training traces are
-    published once into shared memory and each task carries only its
-    subtree's row indices and metadata (see
-    :mod:`repro.engine.sharedmem`).  Per-node seeds derive from node names,
-    so the result is identical for any worker count.
     """
     topology = baseline.topology
     by_id = {record.instance_id: record for record in records}
@@ -141,75 +122,12 @@ def scoped_placement(
             scoped.append((node, member_ids))
 
     mapping: Dict[str, str] = {}
-    if workers <= 1 or len(scoped) <= 1:
-        placer = WorkloadAwarePlacer(config)
-        for node, member_ids in scoped:
-            subtree = PowerTopology(node)
-            local = placer.place([by_id[i] for i in member_ids], subtree)
-            mapping.update(local.assignment.as_mapping())
-        return Assignment(topology, mapping)
-
-    # Parallel path: one shared segment for every training trace, one task
-    # per subtree.  Lazy imports keep repro.core free of a module-scope
-    # dependency on repro.engine (which imports core via the chaos harness).
-    from ..engine.parallel import get_pool
-    from ..engine.sharedmem import SharedMatrix
-
-    ordered = list(records)
-    row_of = {record.instance_id: row for row, record in enumerate(ordered)}
-    matrix = np.stack([record.training_trace.values for record in ordered])
-    grid = ordered[0].training_trace.grid
-    resolved = config if config is not None else PlacementConfig()
-    pool = get_pool(workers)
-    with SharedMatrix.create(matrix) as shared:
-        tasks = []
-        for node, member_ids in scoped:
-            members = [by_id[i] for i in member_ids]
-            tasks.append(
-                (
-                    shared.handle,
-                    grid,
-                    tuple(row_of[m.instance_id] for m in members),
-                    tuple(m.instance_id for m in members),
-                    tuple(m.service for m in members),
-                    tuple(m.kind for m in members),
-                    node,
-                    resolved,
-                )
-            )
-        obs.count("place.scope_shards", len(tasks))
-        for shard_mapping in pool.map_shards(
-            _scoped_place_shard, tasks, label="place.shard"
-        ):
-            mapping.update(shard_mapping)
-    return Assignment(topology, mapping)
-
-
-def _scoped_place_shard(
-    handle: object,
-    grid: object,
-    rows: Tuple[int, ...],
-    ids: Tuple[str, ...],
-    services: Tuple[str, ...],
-    kinds: Tuple[str, ...],
-    node: PowerNode,
-    config: PlacementConfig,
-) -> Dict[str, str]:
-    """Place one scope subtree from shared-memory trace rows (pool task)."""
-    from ..engine.sharedmem import attached_view
-    from ..traces.instance import ServiceInstance
-
-    view = attached_view(handle)
-    records = [
-        InstanceRecord(
-            instance=ServiceInstance(instance_id=i, service=s, kind=k),
-            training_trace=PowerTrace(grid, view[row]),
-        )
-        for row, i, s, k in zip(rows, ids, services, kinds)
-    ]
     placer = WorkloadAwarePlacer(config)
-    result = placer.place(records, PowerTopology(node))
-    return result.assignment.as_mapping()
+    for node, member_ids in scoped:
+        subtree = PowerTopology(node)
+        local = placer.place([by_id[i] for i in member_ids], subtree)
+        mapping.update(local.assignment.as_mapping())
+    return Assignment(topology, mapping)
 
 
 class WorkloadAwarePlacer:
@@ -327,7 +245,6 @@ class WorkloadAwarePlacer:
             chunk_size=self.config.score_chunk_size,
             max_bytes=self.config.score_max_bytes,
             dtype=self.config.score_dtype,
-            workers=self.config.score_workers,
         )
         q = len(node.children)
         h = min(len(members), q * self.config.clusters_per_child)

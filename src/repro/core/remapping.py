@@ -51,9 +51,8 @@ class RemapConfig:
     shard_level:
         When set (e.g. ``Level.SUITE`` or ``Level.MSB``), the swap loop
         runs independently inside each ``shard_level`` subtree: swaps never
-        cross a shard boundary, ``max_swaps`` applies per shard, and shards
-        are embarrassingly parallel (pass ``workers`` to
-        :meth:`RemappingEngine.run`).  Mirrors the operational reality that
+        cross a shard boundary and ``max_swaps`` applies per shard.
+        Mirrors the operational reality that
         migrations within a suite are cheap while cross-suite moves are
         not.  ``None`` (default) keeps the global single-loop behaviour.
     verify_every:
@@ -235,29 +234,20 @@ class RemappingEngine:
     def __init__(self, config: RemapConfig) -> None:
         self.config = config
 
-    def run(
-        self, assignment: Assignment, traces: TraceSet, *, workers: int = 1
-    ) -> RemapResult:
+    def run(self, assignment: Assignment, traces: TraceSet) -> RemapResult:
         """Iteratively swap instances out of the most fragmented node.
 
-        With :attr:`RemapConfig.shard_level` set, the loop runs per shard
-        subtree; ``workers > 1`` then fans the shards out across the
-        persistent pool over a shared-memory view of ``traces`` (shards
-        are independent, so the result is identical for any worker count).
-        ``workers`` is ignored in the unsharded global mode, whose single
-        swap loop is inherently sequential.
+        With :attr:`RemapConfig.shard_level` set, the loop runs
+        independently inside each shard subtree, in shard order.
         """
         with obs.span(
             "remap",
             level=self.config.level,
             max_swaps=self.config.max_swaps,
-            workers=workers,
         ):
-            return self._run(assignment, traces, workers)
+            return self._run(assignment, traces)
 
-    def _run(
-        self, assignment: Assignment, traces: TraceSet, workers: int
-    ) -> RemapResult:
+    def _run(self, assignment: Assignment, traces: TraceSet) -> RemapResult:
         topology = assignment.topology
         if self.config.shard_level is None:
             groups = {
@@ -276,20 +266,14 @@ class RemappingEngine:
                 node_totals=node_totals,
             )
 
-        shards = self._shard_specs(assignment)
-        if workers <= 1 or len(shards) <= 1:
-            all_swaps: List[Swap] = []
-            node_totals: Dict[str, np.ndarray] = {}
-            for members_by_node in shards:
-                shard_swaps, shard_totals = _remap_shard_groups(
-                    self, members_by_node, traces
-                )
-                all_swaps.extend(shard_swaps)
-                node_totals.update(shard_totals)
-        else:
-            all_swaps, node_totals = self._run_shards_pooled(
-                shards, traces, workers
+        all_swaps: List[Swap] = []
+        node_totals: Dict[str, np.ndarray] = {}
+        for members_by_node in self._shard_specs(assignment):
+            shard_swaps, shard_totals = _remap_shard_groups(
+                self, members_by_node, traces
             )
+            all_swaps.extend(shard_swaps)
+            node_totals.update(shard_totals)
         return RemapResult(
             assignment=_apply_swaps(assignment, all_swaps),
             swaps=all_swaps,
@@ -312,44 +296,6 @@ class RemappingEngine:
             if members_by_node:
                 specs.append(members_by_node)
         return specs
-
-    def _run_shards_pooled(
-        self,
-        shards: List[Dict[str, List[str]]],
-        traces: TraceSet,
-        workers: int,
-    ) -> "tuple[List[Swap], Dict[str, np.ndarray]]":
-        """Fan shard swap loops out over a shared-memory trace view."""
-        # Lazy imports: repro.engine imports repro.core via the chaos
-        # harness, so the reverse edge must not exist at module scope.
-        from ..engine.parallel import get_pool
-        from ..engine.sharedmem import SharedMatrix
-
-        pool = get_pool(workers)
-        with SharedMatrix.create(traces.matrix) as shared:
-            tasks = []
-            for members_by_node in shards:
-                groups_spec = tuple(
-                    (
-                        name,
-                        tuple(
-                            (instance_id, traces.index_of(instance_id))
-                            for instance_id in members
-                        ),
-                    )
-                    for name, members in members_by_node.items()
-                )
-                tasks.append((shared.handle, traces.grid, groups_spec, self.config))
-            obs.count("remap.shards", len(tasks))
-            shard_results = pool.map_shards(
-                _remap_shard_task, tasks, label="remap.shard"
-            )
-        all_swaps: List[Swap] = []
-        node_totals: Dict[str, np.ndarray] = {}
-        for shard_swaps, shard_totals in shard_results:
-            all_swaps.extend(shard_swaps)
-            node_totals.update(shard_totals)
-        return all_swaps, node_totals
 
     # ------------------------------------------------------------------
     def _swap_groups(
@@ -463,11 +409,7 @@ class RemappingEngine:
 # shard execution helpers
 # ----------------------------------------------------------------------
 def _apply_swaps(assignment: Assignment, swaps: List[Swap]) -> Assignment:
-    """Replay accepted swaps onto an assignment, in acceptance order.
-
-    Shards touch disjoint instances, so replaying shard-by-shard yields
-    the same assignment whatever order the shards finished in.
-    """
+    """Replay accepted swaps onto an assignment, in acceptance order."""
     current = assignment
     for swap in swaps:
         current = current.with_swap(swap.instance_a, swap.instance_b)
@@ -488,37 +430,3 @@ def _remap_shard_groups(
         # Nothing to swap against inside this shard; totals still reported.
         return [], {name: group.total for name, group in groups.items()}
     return engine._swap_groups(groups, traces)
-
-
-def _remap_shard_task(
-    handle: object,
-    grid: object,
-    groups_spec: "tuple",
-    config: RemapConfig,
-) -> "tuple[List[Swap], Dict[str, np.ndarray]]":
-    """One shard of a sharded remap, run in a pool worker.
-
-    ``groups_spec`` is ``((node_name, ((instance_id, row), ...)), ...)`` —
-    names and row indices only; the trace matrix arrives through the
-    shared-memory ``handle``.  The shard's rows are gathered into a local
-    TraceSet (a copy bounded by shard size, not fleet size).
-    """
-    from ..engine.sharedmem import attached_view
-
-    view = attached_view(handle)
-    ids = [
-        instance_id
-        for _, members in groups_spec
-        for instance_id, _ in members
-    ]
-    rows = [
-        row
-        for _, members in groups_spec
-        for _, row in members
-    ]
-    traces = TraceSet(grid, ids, view[np.asarray(rows)], dtype=view.dtype)
-    members_by_node = {
-        name: [instance_id for instance_id, _ in members]
-        for name, members in groups_spec
-    }
-    return _remap_shard_groups(RemappingEngine(config), members_by_node, traces)

@@ -86,13 +86,6 @@ from .parallel import (  # noqa: F401
     shutdown_pools,
     warm_pool,
 )
-from .sharedmem import (  # noqa: F401
-    MatrixHandle,
-    SharedMatrix,
-    SharedTraceSet,
-    ShardSpec,
-    shard_ranges,
-)
 
 __all__ = [
     "Actuator",
@@ -117,7 +110,6 @@ __all__ = [
     "InjectedFault",
     "LC_POOL",
     "MODES",
-    "MatrixHandle",
     "Move",
     "NodeCappingStats",
     "PlacementState",
@@ -132,9 +124,6 @@ __all__ = [
     "ScenarioSpec",
     "ServerFailurePolicy",
     "ServerFailureSchedule",
-    "ShardSpec",
-    "SharedMatrix",
-    "SharedTraceSet",
     "SpikeEvent",
     "StaticFleetPolicy",
     "TaskDeadline",
@@ -152,7 +141,6 @@ __all__ = [
     "get_pool",
     "run_many",
     "set_default_deadline",
-    "shard_ranges",
     "shutdown_pools",
     "warm_pool",
 ]

@@ -2,7 +2,8 @@
 
 :mod:`repro.faults` injects faults into the *telemetry* the system reasons
 about; this module injects faults into the *infrastructure* the system
-runs on — the worker processes of the parallel data plane.  It exists so
+runs on — the worker processes of the :func:`~repro.engine.parallel.run_many`
+pool.  It exists so
 the failure-domain layer (:mod:`repro.engine.deadline`,
 :mod:`repro.engine.parallel`) can be proven against every failure mode the
 paper's production environment exhibits, deterministically and in CI:
@@ -16,8 +17,6 @@ kind           worker-side effect
 ``exception``  raise :class:`InjectedFault`
 ``oversized_bundle``  emit ``payload_events`` events so the telemetry
                bundle shipped home is pathologically large
-``shm_exhaust``  raise ``OSError(ENOSPC)`` as a ``/dev/shm``-full
-               allocation would
 ============== =====================================================
 
 Faults are configured by the ``REPRO_INFRA_FAULTS`` environment variable —
@@ -41,7 +40,6 @@ faults in exactly the same places.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import random
@@ -73,7 +71,6 @@ FAULT_KINDS = (
     "kill",
     "exception",
     "oversized_bundle",
-    "shm_exhaust",
 )
 
 #: Exit status of a ``kill``-faulted worker (distinct from real crashes).
@@ -174,12 +171,6 @@ class InfraFault:
                     shard=shard_id,
                     index=index,
                 )
-        elif self.kind == "shm_exhaust":
-            raise OSError(
-                errno.ENOSPC,
-                f"injected shared-memory exhaustion (shard {shard_id}, "
-                f"attempt {attempt})",
-            )
 
 
 # ----------------------------------------------------------------------

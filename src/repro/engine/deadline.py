@@ -1,9 +1,9 @@
 """Per-task deadlines and failure-domain policy for the worker pool.
 
-The parallel data plane (:mod:`repro.engine.parallel`) survives worker
-*death* — a killed worker breaks the executor, the pool rebuilds, tasks
-retry.  It did not survive worker *hangs*: every ``wait()`` was unbounded,
-so one stuck worker stalled ``map_shards`` / ``run_many`` forever.  For a
+The worker pool behind :func:`~repro.engine.parallel.run_many` survives
+worker *death* — a killed worker breaks the executor, the pool rebuilds,
+tasks retry.  Worker *hangs* need more: an unbounded ``wait()`` lets one
+stuck worker stall a batch forever.  For a
 continuous control loop (the paper's system ran 24/7 against a production
 fleet) bounded reaction time is a correctness property, not a tuning knob.
 
@@ -29,13 +29,12 @@ enforced by the dispatch driver in :mod:`repro.engine.parallel`:
   serial in-process execution and a ``pool_degraded`` event is emitted.
 
 A deadline reaches the pool three ways, most specific first: the
-``deadline=`` parameter on :meth:`~repro.engine.parallel.WorkerPool.map_shards`
-/ :func:`~repro.engine.parallel.run_many`, the process default installed by
-:func:`set_default_deadline` / :class:`deadline_scope` (this is what
-``SmoothOperatorConfig.deadline`` and the CLI ``--task-timeout`` flag use),
-and the ``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_SOFT_TIMEOUT`` environment
-variables.  With none of them set the data plane behaves exactly as before:
-no watchdog, no speculation, no quarantine.
+``deadline=`` parameter on :func:`~repro.engine.parallel.run_many`, the
+process default installed by :func:`set_default_deadline` /
+:class:`deadline_scope` (this is what the CLI ``--task-timeout`` flag
+uses), and the ``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_SOFT_TIMEOUT``
+environment variables.  With none of them set the pool runs no
+watchdog, no speculation and no quarantine.
 """
 
 from __future__ import annotations

@@ -1,26 +1,19 @@
-"""Parallel execution: a persistent worker pool + shared-memory data plane.
+"""Parallel execution: :func:`run_many` over a persistent worker pool.
 
 :func:`run_many` drives :class:`~repro.engine.spec.ScenarioSpec` /
-:class:`~repro.engine.spec.ChaosSpec` lists through worker processes.  The
-original implementation built a fresh ``ProcessPoolExecutor`` per call (and
-per retry round), which made parallelism a net loss at bench scale — pool
-spawn plus per-task pickling of whole fleets cost more than the simulation
-itself (``BENCH_engine.json`` recorded a 0.74x "speedup").  Three changes
-fix that:
+:class:`~repro.engine.spec.ChaosSpec` lists (or zero-argument callables)
+through worker processes.  It is the package's only pooled path: the plan
+stages (scoring, placement, remapping) run in-process.
 
 * **persistent pools** — :func:`get_pool` keeps one :class:`WorkerPool`
   alive per worker count for the life of the process, so workers are
-  spawned once and reused by every subsequent ``run_many`` / sharded-stage
-  call (``fork`` start method where available: workers inherit warm dataset
-  caches instead of re-synthesizing them);
+  spawned once and reused by every subsequent ``run_many`` call (``fork``
+  start method where available: workers inherit warm dataset caches
+  instead of re-synthesizing them);
 * **pinned worker threads** — each worker's initializer pins the BLAS /
   OpenMP thread-pool environment (``OMP_NUM_THREADS`` etc.) to
   :data:`DEFAULT_WORKER_THREADS`, so N workers do not oversubscribe the
-  host with N × M library threads;
-* **shared-memory shards** — bulk matrix jobs go through
-  :meth:`WorkerPool.map_shards`: the matrix is published once via
-  :mod:`repro.engine.sharedmem` and tasks carry only row ranges and
-  parameters, never the data.
+  host with N × M library threads.
 
 Worker death does not sink a suite.  A killed worker breaks the whole
 executor (every outstanding future raises ``BrokenProcessPool``), so the
@@ -41,9 +34,9 @@ watchdog: it polls instead of blocking, SIGKILLs the pool when a task
 exceeds its hard deadline (a hung worker never honours a graceful
 shutdown) and retries on a rebuilt executor, speculatively re-dispatches
 stragglers past a quantile-derived threshold (first result wins, results
-stay bit-identical), quarantines a shard whose attempts keep taking
-workers down to in-process serial execution, and degrades the whole stage
-to serial when a circuit breaker trips on the stage-wide infrastructure
+stay bit-identical), quarantines a spec whose attempts keep taking
+workers down to in-process serial execution, and degrades the whole batch
+to serial when a circuit breaker trips on the batch-wide infrastructure
 failure rate.  With no deadline configured none of this machinery runs —
 the dispatch loop blocks exactly as before.  Deterministic infrastructure
 faults for exercising all of it live in :mod:`repro.engine.chaos_infra`.
@@ -55,7 +48,7 @@ back with its result; the coordinator merges them into its live tracer,
 registry, and event log, records pool health metrics (dispatch/completion
 counters, roundtrip/execution/queue latency histograms, worker deaths and
 rebuilds, timeouts, speculation outcomes, quarantines), and feeds each
-stage into the unified run report (:mod:`repro.obs.report`).
+batch into the unified run report (:mod:`repro.obs.report`).
 """
 
 from __future__ import annotations
@@ -193,13 +186,12 @@ def _init_worker(n_threads: int) -> None:
         pass
 
 
-def _pool_execute(spec: Any) -> RunArtifacts:
-    """Worker-side task wrapper around :func:`execute`.
+def _execute_logged(spec: Any) -> RunArtifacts:
+    """:func:`execute` under a fresh event log when recording is active.
 
     Persistent workers outlive many tasks, so an event log inherited at
     fork time must not accumulate every task's events for the life of the
-    worker: when recording is active, each task runs under a fresh log and
-    its artifacts carry only its own events.
+    worker: each task's artifacts carry only its own events.
     """
     from ..obs import events as obs_events
 
@@ -209,43 +201,27 @@ def _pool_execute(spec: Any) -> RunArtifacts:
         return execute(spec)
 
 
-def _pool_execute_captured(spec: Any, index: int, attempt: int):
-    """Worker-side spec task with telemetry capture.
+def _pool_task(spec: Any, index: int, attempt: int, capture: bool, faults: bool):
+    """The worker-side task: run one spec, optionally faulted and captured.
 
-    Wraps :func:`execute` in :func:`repro.obs.remote.run_captured`, so the
-    worker ships ``(artifacts, bundle)`` — the bundle carrying the spec's
-    span subtree, metric deltas, and capture-level events back to the
-    coordinator for merging.  ``execute`` is called directly, not through
-    :func:`_pool_execute`: the capture installs a fresh per-task event log
-    already, and nesting another recording inside it would swallow the
-    spec's events before the bundle could ship them.
+    With ``faults`` the armed infra fault injectors
+    (:func:`repro.engine.chaos_infra.call_with_faults`) fire first.  With
+    ``capture`` the whole call runs under
+    :func:`repro.obs.remote.run_captured` and the worker ships
+    ``(artifacts, bundle)``; the injector runs *inside* the capture, so an
+    injected event or exception ships its telemetry like a real one.  The
+    capture installs a fresh per-task event log itself, so a captured
+    spec calls :func:`execute` directly — nesting another recording
+    inside it would swallow the spec's events before the bundle shipped.
     """
+    fn, args = (execute if capture else _execute_logged), (spec,)
+    if faults:
+        fn, args = chaos_infra.call_with_faults, (fn, index, attempt, spec)
+    if not capture:
+        return fn(*args)
     from ..obs import remote as obs_remote
 
-    return obs_remote.run_captured(execute, index, "run.spec", attempt, (spec,))
-
-
-def _pool_execute_faulty(spec: Any, index: int, attempt: int) -> RunArtifacts:
-    """:func:`_pool_execute` behind the armed infra fault injectors."""
-    return chaos_infra.call_with_faults(_pool_execute, index, attempt, spec)
-
-
-def _pool_execute_faulty_captured(spec: Any, index: int, attempt: int):
-    """:func:`_pool_execute_captured`'s fault-injected twin.
-
-    The injector runs *inside* the capture, so injected events (e.g. an
-    ``oversized_bundle`` payload) land in the shipped bundle and an
-    injected exception ships its telemetry like any real failure.
-    """
-    from ..obs import remote as obs_remote
-
-    return obs_remote.run_captured(
-        chaos_infra.call_with_faults,
-        index,
-        "run.spec",
-        attempt,
-        (execute, index, attempt, spec),
-    )
+    return obs_remote.run_captured(fn, index, "run.spec", attempt, args)
 
 
 def _bundle_stats(bundle: Any, roundtrip_s: float, *, ok: bool = True):
@@ -282,6 +258,24 @@ def _decorrelated_backoff(
     if base <= 0:
         return 0.0
     return min(cap, rng.uniform(base, max(base, previous * 3)))
+
+
+class _Backoff:
+    """The retry schedule every :func:`run_many` path sleeps by.
+
+    Successive :meth:`next` calls draw :func:`_decorrelated_backoff`
+    delays, each seeded by the one before it (the first by ``base``).
+    """
+
+    def __init__(self, base: float) -> None:
+        self.base = base
+        self.previous = base
+        self._rng = random.Random()
+
+    def next(self) -> float:
+        delay = _decorrelated_backoff(self.base, self.previous, self._rng)
+        self.previous = max(delay, self.base)
+        return delay
 
 
 # ----------------------------------------------------------------------
@@ -428,141 +422,14 @@ class WorkerPool:
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
 
-    # ------------------------------------------------------------------
-    def map_shards(
-        self,
-        fn: Callable[..., Any],
-        tasks: Sequence[Sequence[Any]],
-        *,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        retry_backoff_s: float = 0.0,
-        label: str = "shard",
-        capture: Optional[bool] = None,
-        deadline: Optional[TaskDeadline] = None,
-    ) -> List[Any]:
-        """Run ``fn(*task)`` for every task, in task order, with retries.
-
-        The sharded-stage workhorse: ``tasks`` are lightweight argument
-        tuples (shared-memory handles, row ranges, parameters — see
-        :mod:`repro.engine.sharedmem`), never bulk data.  A broken pool is
-        rebuilt and unfinished tasks retried like :func:`run_many` does for
-        specs; a task that exhausts its attempts re-raises its last error,
-        because a missing shard (unlike a missing scenario) poisons the
-        whole result matrix.
-
-        ``deadline`` bounds completion under partial failure (hang
-        watchdog, straggler speculation, poison-shard quarantine, serial
-        degradation — see :class:`~repro.engine.deadline.TaskDeadline`);
-        when ``None`` the process default
-        (:func:`repro.engine.deadline.get_default_deadline`) applies, and
-        with no default either the loop blocks unbounded exactly as
-        before.  The shard functions must be pure for speculation to be
-        sound — both copies of a shard compute the same value, so whichever
-        finishes first is *the* result.
-
-        Unless capture is disabled (the ``REPRO_OBS_CAPTURE`` kill switch,
-        or ``capture=False``), every task runs under worker-side telemetry
-        capture (:mod:`repro.obs.remote`): its spans, metric deltas, and
-        events ship back with the result and are merged into this process's
-        live tracer/registry/log — sorted by shard id, so the merged state
-        is independent of completion order.  ``label`` names the per-task
-        root span (tagged with shard id and worker pid) and the stage's
-        entry in the run report (:mod:`repro.obs.report`); the pool also
-        records its own health metrics (dispatch/completion/retry counters,
-        roundtrip/execution/queue latency histograms).
-        """
-        from ..obs import remote as obs_remote
-
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s cannot be negative")
-        tasks = [tuple(task) for task in tasks]
-        do_capture = obs_remote.capture_enabled() and (capture is None or capture)
-        if deadline is None:
-            deadline = deadline_mod.get_default_deadline()
-        faults_on = chaos_infra.configured()
-
-        def submit_pooled(index: int, attempt: int, on_rebuild):
-            if faults_on:
-                if do_capture:
-                    return self.submit_resilient(
-                        obs_remote.run_captured,
-                        chaos_infra.call_with_faults,
-                        index,
-                        label,
-                        attempt,
-                        (fn, index, attempt, *tasks[index]),
-                        on_rebuild=on_rebuild,
-                    )
-                return self.submit_resilient(
-                    chaos_infra.call_with_faults,
-                    fn,
-                    index,
-                    attempt,
-                    *tasks[index],
-                    on_rebuild=on_rebuild,
-                )
-            if do_capture:
-                return self.submit_resilient(
-                    obs_remote.run_captured,
-                    fn,
-                    index,
-                    label,
-                    attempt,
-                    tasks[index],
-                    on_rebuild=on_rebuild,
-                )
-            return self.submit_resilient(
-                fn, *tasks[index], on_rebuild=on_rebuild
-            )
-
-        driver = _StageDriver(
-            self,
-            len(tasks),
-            label=label,
-            do_capture=do_capture,
-            max_attempts=max_attempts,
-            retry_backoff_s=retry_backoff_s,
-            deadline=deadline,
-            submit_pooled=submit_pooled,
-            run_inline=lambda index: fn(*tasks[index]),
-            on_failure=None,
-            raise_on_exhaust=True,
-        )
-        return driver.run()
-
-    def _finish_stage(
-        self,
-        label: str,
-        started_at: float,
-        bundles: Sequence[Any],
-        stats: Sequence[Any],
-    ) -> None:
-        """Merge shipped telemetry and record the stage in the run report."""
-        from ..obs import metrics as obs_metrics
-        from ..obs import remote as obs_remote
-        from ..obs import report as obs_report
-
-        obs_remote.merge_bundles(bundles)
-        obs_metrics.set_gauge("pool.workers", self.workers)
-        obs_metrics.set_gauge("pool.generation", self.generation)
-        obs_report.record_stage(
-            label,
-            workers=self.workers,
-            wall_s=time.perf_counter() - started_at,
-            tasks=stats,
-            generation=self.generation,
-        )
-
 
 # ----------------------------------------------------------------------
 # the dispatch/retry driver
 # ----------------------------------------------------------------------
 class _StageDriver:
-    """The shared dispatch loop behind ``map_shards`` and ``run_many``.
+    """The dispatch loop behind a pooled :func:`run_many` batch.
 
-    One instance drives one stage: it owns the per-task attempt counts,
+    One instance drives one batch: it owns the per-spec attempt counts,
     the retry rounds (with decorrelated-jitter backoff and one-at-a-time
     isolation after an executor break), the telemetry bookkeeping, and —
     when a :class:`~repro.engine.deadline.TaskDeadline` is in force — the
@@ -586,45 +453,35 @@ class _StageDriver:
       serially from then on, where it cannot condemn the pool again.
     * **circuit breaker** — when infrastructure failures reach both
       ``degrade_min_failures`` and ``degrade_failure_ratio`` of dispatches,
-      the whole stage degrades to in-process serial execution.
+      the whole batch degrades to in-process serial execution.
 
-    The two callers differ only in how they submit, how they execute
-    in-process, and what an exhausted task does (``map_shards`` raises,
-    ``run_many`` records a :class:`RunFailure` slot via ``on_failure``).
-    With ``deadline=None`` the wait loop blocks unbounded and none of the
-    failure-domain machinery runs — byte-for-byte the legacy behaviour.
+    A spec that exhausts its attempts holds a :class:`RunFailure` in its
+    result slot.  With ``deadline=None`` the wait loop blocks unbounded
+    and none of the failure-domain machinery runs.
     """
+
+    label = "run.many"
 
     def __init__(
         self,
         pool: WorkerPool,
-        n_tasks: int,
+        specs: List[Any],
         *,
-        label: str,
         do_capture: bool,
         max_attempts: int,
         retry_backoff_s: float,
         deadline: Optional[TaskDeadline],
-        submit_pooled: Callable[..., Any],
-        run_inline: Callable[[int], Any],
-        on_failure: Optional[Callable[[int, BaseException, int], Any]],
-        raise_on_exhaust: bool,
     ) -> None:
         self.pool = pool
-        self.n_tasks = n_tasks
-        self.label = label
+        self.specs = specs
         self.do_capture = do_capture
+        self.faults_on = chaos_infra.configured()
         self.max_attempts = max_attempts
-        self.retry_backoff_s = retry_backoff_s
         self.deadline = deadline
-        self.submit_pooled = submit_pooled
-        self.run_inline = run_inline
-        self.on_failure = on_failure
-        self.raise_on_exhaust = raise_on_exhaust
 
+        n_tasks = len(specs)
         self.results: List[Any] = [None] * n_tasks
         self.attempts = [0] * n_tasks
-        self.errors: Dict[int, BaseException] = {}
         self.failed: List[int] = []
         self.infra_failures = [0] * n_tasks
         self.infra_failures_total = 0
@@ -634,12 +491,11 @@ class _StageDriver:
         self.bundles: List[Any] = []
         self.stats: List[Any] = []
         self.started_at = time.perf_counter()
-        self._rng = random.Random()
-        self._backoff_prev = retry_backoff_s
+        self._backoff = _Backoff(retry_backoff_s)
 
     # ------------------------------------------------------------------
     def run(self) -> List[Any]:
-        pending = list(range(self.n_tasks))
+        pending = list(range(len(self.specs)))
         round_index = 0
         isolate = False
         while pending:
@@ -666,38 +522,37 @@ class _StageDriver:
             for group in groups:
                 round_broken = self._run_group(group, round_index) or round_broken
             isolate = round_broken
-            ordered_failed = sorted(set(self.failed))
-            exhausted = [
-                index
-                for index in ordered_failed
-                if self.attempts[index] >= self.max_attempts
-            ]
-            if exhausted and self.raise_on_exhaust:
-                # The stage is lost, but its telemetry is not: merge what
-                # shipped (including failed attempts' bundles) before
-                # re-raising, so the failure is diagnosable from the
-                # coordinator's own span tree and event log.
-                self.finish()
-                raise self.errors[exhausted[0]]
             pending = [
                 index
-                for index in ordered_failed
+                for index in sorted(set(self.failed))
                 if self.attempts[index] < self.max_attempts
             ]
             if pending:
                 # Only sleep when a retry round actually follows: a task out
                 # of attempts has already been settled and waiting would
                 # delay the caller for nothing.
-                time.sleep(self._next_backoff())
+                time.sleep(self._backoff.next())
                 round_index += 1
-        self.finish()
+        if self.do_capture:
+            self._finish()
         return self.results
 
-    def finish(self) -> None:
-        if self.do_capture:
-            self.pool._finish_stage(
-                self.label, self.started_at, self.bundles, self.stats
-            )
+    def _finish(self) -> None:
+        """Merge shipped telemetry and record the batch in the run report."""
+        from ..obs import metrics as obs_metrics
+        from ..obs import remote as obs_remote
+        from ..obs import report as obs_report
+
+        obs_remote.merge_bundles(self.bundles)
+        obs_metrics.set_gauge("pool.workers", self.pool.workers)
+        obs_metrics.set_gauge("pool.generation", self.pool.generation)
+        obs_report.record_stage(
+            self.label,
+            workers=self.pool.workers,
+            wall_s=time.perf_counter() - self.started_at,
+            tasks=self.stats,
+            generation=self.pool.generation,
+        )
 
     # ------------------------------------------------------------------
     def _run_one_inline(self, index: int) -> None:
@@ -708,16 +563,18 @@ class _StageDriver:
         if self.do_capture:
             obs_metrics.count("pool.tasks_inline")
         try:
-            self.results[index] = self.run_inline(index)
+            self.results[index] = execute(self.specs[index])
         except Exception as error:  # noqa: BLE001
-            self.failed.append(index)
-            self.errors[index] = error
-            if self.on_failure is not None:
-                self.results[index] = self.on_failure(
-                    index, error, self.attempts[index]
-                )
+            self._note_failure(index, error)
             if self.do_capture:
                 obs_metrics.count("pool.tasks_failed")
+
+    def _note_failure(self, index: int, error: BaseException) -> None:
+        """Mark ``index`` for retry and hold its failure in the result slot."""
+        self.failed.append(index)
+        self.results[index] = _failure(
+            self.specs[index], error, self.attempts[index]
+        )
 
     def _run_group(self, group: List[int], round_index: int) -> bool:
         """Dispatch one group of pooled tasks and settle every one of them.
@@ -748,7 +605,15 @@ class _StageDriver:
             # sees a fresh execution, not a replay of the straggling one)
             # but does not consume a slot of the task's retry budget.
             attempt = self.attempts[index] + (1 if speculative else 0)
-            future = self.submit_pooled(index, attempt, on_submit_rebuild)
+            future = self.pool.submit_resilient(
+                _pool_task,
+                self.specs[index],
+                index,
+                attempt,
+                self.do_capture,
+                self.faults_on,
+                on_rebuild=on_submit_rebuild,
+            )
             future_of[future] = index
             dispatched_at[future] = time.perf_counter()
             attempt_of[future] = attempt
@@ -865,7 +730,6 @@ class _StageDriver:
         speculative_win: bool = False,
     ) -> None:
         from ..obs import metrics as obs_metrics
-        from ..obs import remote as obs_remote  # noqa: F401 - doc symmetry
 
         if self.do_capture:
             result, bundle = outcome
@@ -890,12 +754,7 @@ class _StageDriver:
         from ..obs import metrics as obs_metrics
         from ..obs import remote as obs_remote
 
-        self.failed.append(index)
-        self.errors[index] = error
-        if self.on_failure is not None:
-            self.results[index] = self.on_failure(
-                index, error, self.attempts[index]
-            )
+        self._note_failure(index, error)
         if self.do_capture:
             obs_metrics.count("pool.tasks_failed")
             bundle = obs_remote.bundle_from_error(error)
@@ -1097,14 +956,6 @@ class _StageDriver:
             )
             outstanding.add(dispatch(index, speculative=True))
 
-    # ------------------------------------------------------------------
-    def _next_backoff(self) -> float:
-        delay = _decorrelated_backoff(
-            self.retry_backoff_s, self._backoff_prev, self._rng
-        )
-        self._backoff_prev = max(delay, self.retry_backoff_s)
-        return delay
-
 
 # ----------------------------------------------------------------------
 # the process-wide persistent pools
@@ -1116,8 +967,8 @@ def get_pool(workers: int) -> WorkerPool:
     """The process-wide persistent pool for ``workers`` worker processes.
 
     Created on first request and kept for the life of the process (one
-    pool per distinct worker count), so repeated ``run_many`` calls and
-    sharded stages reuse warm workers instead of re-spawning.
+    pool per distinct worker count), so repeated ``run_many`` calls reuse
+    warm workers instead of re-spawning.
     """
     if workers < 1:
         raise ValueError("a pool needs at least one worker")
@@ -1204,53 +1055,20 @@ def run_many(
     if retry_backoff_s < 0:
         raise ValueError("retry_backoff_s cannot be negative")
     specs = list(specs)
-    results: List[Any] = [None] * len(specs)
     if workers <= 1 or len(specs) <= 1:
-        for index, spec in enumerate(specs):
-            results[index] = _run_serial(spec, max_attempts, retry_backoff_s)
-        return results
+        return [_run_serial(spec, max_attempts, retry_backoff_s) for spec in specs]
 
     from ..obs import remote as obs_remote
 
-    if pool is None:
-        pool = get_pool(workers)
-    do_capture = obs_remote.capture_enabled()
     if deadline is None:
         deadline = deadline_mod.get_default_deadline()
-    faults_on = chaos_infra.configured()
-
-    def submit_pooled(index: int, attempt: int, on_rebuild):
-        if faults_on:
-            task = _pool_execute_faulty_captured if do_capture else _pool_execute_faulty
-            return pool.submit_resilient(
-                task, specs[index], index, attempt, on_rebuild=on_rebuild
-            )
-        if do_capture:
-            return pool.submit_resilient(
-                _pool_execute_captured,
-                specs[index],
-                index,
-                attempt,
-                on_rebuild=on_rebuild,
-            )
-        return pool.submit_resilient(
-            _pool_execute, specs[index], on_rebuild=on_rebuild
-        )
-
     driver = _StageDriver(
-        pool,
-        len(specs),
-        label="run.many",
-        do_capture=do_capture,
+        pool if pool is not None else get_pool(workers),
+        specs,
+        do_capture=obs_remote.capture_enabled(),
         max_attempts=max_attempts,
         retry_backoff_s=retry_backoff_s,
         deadline=deadline,
-        submit_pooled=submit_pooled,
-        run_inline=lambda index: execute(specs[index]),
-        on_failure=lambda index, error, attempts_used: _failure(
-            specs[index], error, attempts_used
-        ),
-        raise_on_exhaust=False,
     )
     return driver.run()
 
@@ -1264,13 +1082,14 @@ def _run_serial(spec: Any, max_attempts: int, retry_backoff_s: float) -> Any:
     The backoff runs between attempts, never after the last one — the
     final failure returns immediately.
     """
+    backoff = _Backoff(retry_backoff_s)
     for attempt in range(1, max_attempts + 1):
         try:
             return execute(spec)
         except Exception as error:  # noqa: BLE001
             failure = _failure(spec, error, attempt)
             if attempt < max_attempts:
-                time.sleep(retry_backoff_s * (2 ** (attempt - 1)))
+                time.sleep(backoff.next())
     return failure
 
 

@@ -1,9 +1,9 @@
-"""Unified run report for the parallel data plane.
+"""Unified run report for the worker pool.
 
 The capture/ship/merge layer (:mod:`repro.obs.remote`) makes worker
 telemetry *visible*; this module makes it *legible*.  Every pooled stage —
-``run_many`` batches and ``map_shards`` sharded stages alike — records one
-:class:`StageRecord` into the process-global collector: which shards ran,
+a ``run_many`` batch — records one :class:`StageRecord` into the
+process-global collector: which shards (tasks, by index) ran,
 on which worker pids, how long each executed inside the worker versus how
 long it spent queued, and how many attempts it took.  :func:`build_report`
 turns the accumulated records into one JSON-ready document answering the
@@ -95,7 +95,7 @@ class TaskStats:
 
 @dataclass
 class StageRecord:
-    """One pooled stage: a ``map_shards`` call or a ``run_many`` batch."""
+    """One pooled stage: a ``run_many`` batch."""
 
     label: str
     workers: int

@@ -139,34 +139,6 @@ class TestShardedRemap:
         for score in scores.values():
             assert score > 1.8
 
-    def test_worker_count_never_changes_the_result(self, two_suites):
-        """Shards are independent, so the pooled fan-out must reproduce the
-        serial sharded run exactly: same swaps, assignment, and totals."""
-        from repro.engine.parallel import shutdown_pools
-
-        topo, assignment, traces = two_suites
-        engine = RemappingEngine(self.config())
-        serial = engine.run(assignment, traces)
-        try:
-            pooled = engine.run(assignment, traces, workers=2)
-        finally:
-            shutdown_pools()
-        assert pooled.swaps == serial.swaps
-        assert pooled.assignment.as_mapping() == serial.assignment.as_mapping()
-        assert set(pooled.node_totals) == set(serial.node_totals)
-        for name, total in serial.node_totals.items():
-            assert np.array_equal(pooled.node_totals[name], total)
-
-    def test_workers_ignored_without_shard_level(self, fragmented):
-        topo, assignment, traces = fragmented
-        engine = RemappingEngine(RemapConfig(level=Level.RPP, max_swaps=4))
-        plain = engine.run(assignment, traces)
-        with_workers = engine.run(assignment, traces, workers=4)
-        assert with_workers.swaps == plain.swaps
-        assert (
-            with_workers.assignment.as_mapping() == plain.assignment.as_mapping()
-        )
-
 
 class TestOnRealFleet:
     def test_improves_oblivious_placement(self, tiny_records, tiny_topology):

@@ -67,19 +67,3 @@ class TestScopedPlacement:
         with pytest.raises(ValueError):
             scoped_placement(tiny_records[:-1], baseline, Level.SB, config)
 
-    def test_worker_count_never_changes_the_placement(
-        self, tiny_records, tiny_topology, config
-    ):
-        """Subtrees are independent and per-node seeds derive from node
-        names, so the pooled fan-out must reproduce the serial mapping."""
-        from repro.engine.parallel import shutdown_pools
-
-        baseline = oblivious_placement(tiny_records, tiny_topology)
-        serial = scoped_placement(tiny_records, baseline, Level.RPP, config)
-        try:
-            pooled = scoped_placement(
-                tiny_records, baseline, Level.RPP, config, workers=2
-            )
-        finally:
-            shutdown_pools()
-        assert pooled.as_mapping() == serial.as_mapping()

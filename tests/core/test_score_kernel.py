@@ -105,9 +105,3 @@ def test_score_matrix_matches_broadcast(chunk_size, max_bytes, dtype):
     )
     assert np.array_equal(got, expected)
 
-
-def test_sharded_score_matrix_matches_broadcast():
-    basis = _basis(10, seed=10)
-    matrix = _matrix(2 * _tile(basis.matrix) + 5, seed=9)
-    got = score_matrix(matrix, basis, chunk_size=7, workers=2, parallel_min_rows=1)
-    assert np.array_equal(got, _legacy_score_rows(matrix, basis.matrix))

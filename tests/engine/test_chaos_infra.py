@@ -2,12 +2,12 @@
 
 The scenario suite is the acceptance test of the failure-domain layer:
 for every fault kind the injector knows (`kill`, `hang`, `slow`,
-`exception`, `oversized_bundle`, `shm_exhaust`), a pooled stage running
+`exception`, `oversized_bundle`), a pooled ``run_many`` batch running
 under a :class:`TaskDeadline` must
 
 * complete in bounded wall time,
 * return results bit-identical to a fault-free serial run,
-* leak no ``/dev/shm`` segments, and
+* leak no ``/dev/shm`` entries, and
 * emit the corresponding ``pool.*`` telemetry.
 
 Faults are configured through ``REPRO_INFRA_FAULTS`` and armed only in
@@ -22,7 +22,6 @@ chaos-run artifact.
 import os
 import time
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -35,7 +34,6 @@ from repro.engine.chaos_infra import (
 )
 from repro.engine.deadline import TaskDeadline
 from repro.engine.parallel import RunFailure, WorkerPool, run_many
-from repro.engine.sharedmem import SharedMatrix, attach_rows, shard_ranges
 from repro.obs import events as obs_events
 
 #: Appended to by every scenario when ``REPRO_INFRA_EVENTS`` is set.
@@ -79,10 +77,6 @@ def publish(log):
 # ----------------------------------------------------------------------
 # module-level callables (must pickle into fork workers)
 # ----------------------------------------------------------------------
-def shard_sum(handle, start, stop):
-    return float(attach_rows(handle, start, stop).sum())
-
-
 class ReturnValue:
     """A zero-arg run_many spec returning ``value`` (picklable instance)."""
 
@@ -168,24 +162,32 @@ def test_activate_and_inject_are_process_local(monkeypatch):
 # ----------------------------------------------------------------------
 # the scenario suite
 # ----------------------------------------------------------------------
-def _matrix_and_tasks(shared, rows=64, shards=4):
-    tasks = [(shared.handle, a, b) for a, b in shard_ranges(rows, shards)]
-    return tasks
+def run_values(pool, values, **kwargs):
+    """Pooled ``run_many`` over zero-arg specs; their return values.
+
+    Asserts no spec ended as a :class:`RunFailure` (whose ``result`` would
+    read as ``None``).
+    """
+    results = run_many(
+        [ReturnValue(value) for value in values],
+        workers=2,
+        pool=pool,
+        retry_backoff_s=0.0,
+        **kwargs,
+    )
+    assert not any(isinstance(entry, RunFailure) for entry in results)
+    return [entry.result for entry in results]
 
 
 def test_scenario_kill_recovers_by_retry(monkeypatch):
     """A worker killed mid-task costs one attempt, never the results."""
-    matrix = np.arange(64.0 * 8).reshape(64, 8)
-    expected = [float(matrix[a:b].sum()) for a, b in shard_ranges(64, 4)]
+    expected = [index * 1.5 for index in range(4)]
     monkeypatch.setenv(FAULTS_ENV, '{"kind": "kill", "shards": [1], "times": 1}')
     deadline = TaskDeadline(hard_timeout_s=30.0, speculative=False)
     with obs_events.recording() as log:
-        with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
-            results = pool.map_shards(
-                shard_sum,
-                _matrix_and_tasks(shared),
-                max_attempts=3,
-                deadline=deadline,
+        with WorkerPool(2) as pool:
+            results = run_values(
+                pool, expected, max_attempts=3, deadline=deadline
             )
     assert results == expected
     assert obs.counter_value("pool.worker_deaths") >= 1.0
@@ -195,8 +197,7 @@ def test_scenario_kill_recovers_by_retry(monkeypatch):
 
 def test_scenario_hang_bounded_by_hard_deadline(monkeypatch):
     """A hung worker is killed at the hard deadline; the retry recovers."""
-    matrix = np.ones((32, 4))
-    expected = [float(matrix[a:b].sum()) for a, b in shard_ranges(32, 2)]
+    expected = [64.0, 64.0]
     monkeypatch.setenv(
         FAULTS_ENV,
         '{"kind": "hang", "shards": [0], "times": 1, "duration_s": 60.0}',
@@ -204,12 +205,9 @@ def test_scenario_hang_bounded_by_hard_deadline(monkeypatch):
     deadline = TaskDeadline(hard_timeout_s=1.0, speculative=False)
     with obs_events.recording() as log:
         started = time.perf_counter()
-        with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
-            results = pool.map_shards(
-                shard_sum,
-                _matrix_and_tasks(shared, rows=32, shards=2),
-                max_attempts=3,
-                deadline=deadline,
+        with WorkerPool(2) as pool:
+            results = run_values(
+                pool, expected, max_attempts=3, deadline=deadline
             )
         elapsed = time.perf_counter() - started
     assert results == expected
@@ -245,41 +243,19 @@ def test_scenario_slow_straggler_speculated_around(monkeypatch):
 
 def test_scenario_exception_retried_to_success(monkeypatch):
     """Worker-raised injected exceptions burn attempts, not results."""
-    matrix = np.arange(48.0).reshape(16, 3)
-    expected = [float(matrix[a:b].sum()) for a, b in shard_ranges(16, 4)]
+    expected = [66.0, 210.0, 354.0, 498.0]
     monkeypatch.setenv(FAULTS_ENV, '{"kind": "exception", "times": 1}')
     with obs_events.recording() as log:
-        with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
-            results = pool.map_shards(
-                shard_sum,
-                _matrix_and_tasks(shared, rows=16, shards=4),
+        with WorkerPool(2) as pool:
+            results = run_values(
+                pool,
+                expected,
                 max_attempts=2,
                 deadline=TaskDeadline(speculative=False),
             )
     assert results == expected
     assert obs.counter_value("pool.tasks_failed") == 4.0  # one per shard
     assert log.by_kind(obs_events.FAULT_INJECTION)
-    publish(log)
-
-
-def test_scenario_shm_exhaustion_retried_to_success(monkeypatch):
-    """ENOSPC from /dev/shm is an ordinary retryable failure."""
-    monkeypatch.setenv(
-        FAULTS_ENV, '{"kind": "shm_exhaust", "shards": [0, 1], "times": 1}'
-    )
-    specs = [ReturnValue(index) for index in range(3)]
-    with obs_events.recording() as log:
-        with WorkerPool(2) as pool:
-            results = run_many(
-                specs,
-                workers=2,
-                pool=pool,
-                max_attempts=2,
-                retry_backoff_s=0.0,
-                deadline=TaskDeadline(speculative=False),
-            )
-    assert [artifact.result for artifact in results] == [0, 1, 2]
-    assert not any(isinstance(entry, RunFailure) for entry in results)
     publish(log)
 
 
@@ -337,9 +313,6 @@ def test_scenario_permanent_exception_exhausts_cleanly(monkeypatch):
 def test_faults_never_fire_without_the_env(monkeypatch):
     """No spec, no injection wrapper: the fault-free path is untouched."""
     monkeypatch.delenv(FAULTS_ENV, raising=False)
-    matrix = np.ones((8, 2))
-    with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
-        results = pool.map_shards(
-            shard_sum, _matrix_and_tasks(shared, rows=8, shards=2)
-        )
+    with WorkerPool(2) as pool:
+        results = run_values(pool, [8.0, 8.0])
     assert results == [8.0, 8.0]

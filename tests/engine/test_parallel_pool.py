@@ -7,7 +7,9 @@ These pin the properties the parallel-execution fix promises:
 * one pool's workers survive across batches (``generation`` counts
   executor builds, not batches);
 * every worker pins its BLAS/OpenMP thread pools at startup;
-* the retry loop never sleeps its backoff *after* the final attempt.
+* the retry loop never sleeps its backoff *after* the final attempt, and
+  serial retries back off on the same decorrelated-jitter schedule as
+  pooled ones.
 """
 
 import os
@@ -129,6 +131,24 @@ def test_serial_retry_sleeps_between_attempts_not_after_the_last(monkeypatch):
     assert failure.attempts == 3
     # Two gaps between three attempts; no sleep once the spec is written off.
     assert len(sleeps) == 2
+
+
+def test_serial_retry_uses_decorrelated_backoff(monkeypatch):
+    """Serial retries draw from the same schedule as pooled ones: each
+    sleep lies in ``[base, min(cap, 3 * previous)]``, the first seeded by
+    the base itself."""
+    sleeps = []
+    monkeypatch.setattr(parallel.time, "sleep", sleeps.append)
+    base = 0.25
+    [failure] = run_many(
+        [AlwaysRaises()], workers=1, max_attempts=8, retry_backoff_s=base
+    )
+    assert failure.attempts == 8
+    assert len(sleeps) == 7
+    previous = base
+    for delay in sleeps:
+        assert base <= delay <= min(parallel.MAX_RETRY_BACKOFF_S, 3 * previous)
+        previous = delay
 
 
 def test_serial_single_attempt_never_sleeps(monkeypatch):

@@ -28,16 +28,27 @@ def _clean_surfaces():
     obs.reset_report()
 
 
-def ident(value):
-    return value
-
-
 class ReturnValue:
     def __init__(self, value):
         self.value = value
 
     def __call__(self):
         return self.value
+
+
+def run_values(pool, values, **kwargs):
+    """``run_many`` over zero-argument specs returning ``values``."""
+    return run_many(
+        [ReturnValue(value) for value in values],
+        workers=2,
+        pool=pool,
+        retry_backoff_s=0.0,
+        **kwargs,
+    )
+
+
+def results_of(entries):
+    return [entry.result for entry in entries]
 
 
 def _kill_spec(shards, times=99):
@@ -55,14 +66,11 @@ def test_poison_shard_quarantined_to_inline_execution(monkeypatch):
     )
     with obs_events.recording() as log:
         with WorkerPool(2) as pool:
-            results = pool.map_shards(
-                ident,
-                [(0,), (1,), (2,)],
-                max_attempts=4,
-                deadline=deadline,
+            results = run_values(
+                pool, [0, 1, 2], max_attempts=4, deadline=deadline
             )
     # the quarantined attempt runs in-process, where no faults are armed
-    assert results == [0, 1, 2]
+    assert results_of(results) == [0, 1, 2]
     assert obs.counter_value("pool.quarantined_shards") == 1.0
     assert obs.counter_value("pool.tasks_inline") >= 1.0
     (event,) = log.by_kind(obs_events.SHARD_QUARANTINE)
@@ -77,10 +85,12 @@ def test_quarantine_disabled_lets_the_shard_exhaust(monkeypatch):
         speculative=False, quarantine_after=0, degrade_min_failures=0
     )
     with WorkerPool(2) as pool:
-        with pytest.raises(Exception):
-            pool.map_shards(
-                ident, [(0,), (1,)], max_attempts=2, deadline=deadline
-            )
+        poisoned, survivor = run_values(
+            pool, [0, 1], max_attempts=2, deadline=deadline
+        )
+    assert isinstance(poisoned, RunFailure)
+    assert poisoned.attempts == 2
+    assert survivor.result == 1
     assert obs.counter_value("pool.quarantined_shards") == 0.0
 
 
@@ -118,13 +128,10 @@ def test_breaker_degrades_the_whole_stage_to_serial(monkeypatch):
     )
     with obs_events.recording() as log:
         with WorkerPool(2) as pool:
-            results = pool.map_shards(
-                ident,
-                [(index,) for index in range(6)],
-                max_attempts=4,
-                deadline=deadline,
+            results = run_values(
+                pool, range(6), max_attempts=4, deadline=deadline
             )
-    assert results == [0, 1, 2, 3, 4, 5]
+    assert results_of(results) == [0, 1, 2, 3, 4, 5]
     assert obs.counter_value("pool.degraded") == 1.0
     assert obs.counter_value("pool.tasks_inline") >= 1.0
     (event,) = log.by_kind(obs_events.POOL_DEGRADED)
@@ -143,13 +150,8 @@ def test_breaker_needs_both_count_and_ratio(monkeypatch):
         degrade_failure_ratio=0.5,
     )
     with WorkerPool(2) as pool:
-        results = pool.map_shards(
-            ident,
-            [(index,) for index in range(8)],
-            max_attempts=4,
-            deadline=deadline,
-        )
-    assert results == list(range(8))
+        results = run_values(pool, range(8), max_attempts=4, deadline=deadline)
+    assert results_of(results) == list(range(8))
     assert obs.counter_value("pool.degraded") == 0.0
 
 
@@ -159,11 +161,6 @@ def test_breaker_disabled_when_min_failures_is_zero(monkeypatch):
         speculative=False, quarantine_after=0, degrade_min_failures=0
     )
     with WorkerPool(2) as pool:
-        results = pool.map_shards(
-            ident,
-            [(index,) for index in range(6)],
-            max_attempts=4,
-            deadline=deadline,
-        )
-    assert results == list(range(6))
+        results = run_values(pool, range(6), max_attempts=4, deadline=deadline)
+    assert results_of(results) == list(range(6))
     assert obs.counter_value("pool.degraded") == 0.0

@@ -22,7 +22,7 @@ import pytest
 from repro import obs
 from repro.engine.chaos_infra import FAULTS_ENV
 from repro.engine.deadline import TaskDeadline
-from repro.engine.parallel import WorkerPool
+from repro.engine.parallel import WorkerPool, run_many
 from repro.obs import events as obs_events
 
 #: The injected slowdown; a speculative win must beat this by a wide margin.
@@ -42,8 +42,24 @@ def _clean_surfaces():
     obs.reset_report()
 
 
-def ident(value):
-    return value
+class ReturnValue:
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self):
+        return self.value
+
+
+def run_values(pool, values, **kwargs):
+    """``run_many`` over zero-argument specs; the specs' return values."""
+    results = run_many(
+        [ReturnValue(value) for value in values],
+        workers=2,
+        pool=pool,
+        retry_backoff_s=0.0,
+        **kwargs,
+    )
+    return [entry.result for entry in results]
 
 
 def test_speculative_twin_beats_the_straggler(monkeypatch):
@@ -52,11 +68,8 @@ def test_speculative_twin_beats_the_straggler(monkeypatch):
     with obs_events.recording() as log:
         started = time.perf_counter()
         with WorkerPool(2) as pool:
-            results = pool.map_shards(
-                ident,
-                [(0,), (1,), (2,)],
-                max_attempts=2,
-                deadline=deadline,
+            results = run_values(
+                pool, [0, 1, 2], max_attempts=2, deadline=deadline
             )
             elapsed = time.perf_counter() - started
             pool.kill()  # don't join the worker still sleeping off the fault
@@ -83,9 +96,7 @@ def test_speculation_off_waits_for_the_straggler(monkeypatch):
     deadline = TaskDeadline(soft_timeout_s=0.1, speculative=False)
     started = time.perf_counter()
     with WorkerPool(2) as pool:
-        results = pool.map_shards(
-            ident, [(0,), (1,)], max_attempts=2, deadline=deadline
-        )
+        results = run_values(pool, [0, 1], max_attempts=2, deadline=deadline)
     elapsed = time.perf_counter() - started
     assert results == [0, 1]
     assert elapsed >= 1.0  # waited the slowdown out
@@ -101,9 +112,7 @@ def test_no_threshold_no_speculation(monkeypatch):
     deadline = TaskDeadline(speculative=True)  # no soft_timeout_s
     obs.reset_metrics()  # ensure no pool.task_exec_s history feeds a quantile
     with WorkerPool(2) as pool:
-        results = pool.map_shards(
-            ident, [(0,), (1,)], max_attempts=2, deadline=deadline
-        )
+        results = run_values(pool, [0, 1], max_attempts=2, deadline=deadline)
     assert results == [0, 1]
     assert obs.counter_value("pool.speculative_dispatched") == 0.0
 
@@ -115,9 +124,7 @@ def test_at_most_one_twin_per_shard(monkeypatch):
         soft_timeout_s=0.2, speculative=True, poll_interval_s=0.02
     )
     with WorkerPool(2) as pool:
-        results = pool.map_shards(
-            ident, [(0,), (1,), (2,)], max_attempts=2, deadline=deadline
-        )
+        results = run_values(pool, [0, 1, 2], max_attempts=2, deadline=deadline)
         pool.kill()
     assert results == [0, 1, 2]
     assert obs.counter_value("pool.speculative_dispatched") == 1.0
@@ -137,7 +144,7 @@ def test_histogram_quantile_raises_the_threshold(monkeypatch):
     )
     with WorkerPool(2) as pool:
         # seed pool.task_exec_s with ordinary executions
-        pool.map_shards(ident, [(index,) for index in range(8)])
+        run_values(pool, range(8))
         hist = obs.global_registry().histograms.get("pool.task_exec_s")
         assert hist is not None and hist.count >= 4
         threshold = deadline.straggler_threshold_s(hist)

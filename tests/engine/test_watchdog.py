@@ -1,16 +1,16 @@
 """The hard-deadline watchdog: hung workers are killed, stages stay bounded.
 
 A hang is the failure mode the retry layer alone cannot handle — a hung
-worker never raises, never exits, and never returns, so before the
-watchdog existed one stuck task stalled ``map_shards`` / ``run_many``
-forever.  These tests pin the watchdog contract:
+worker never raises, never exits, and never returns, so without the
+watchdog one stuck task would stall ``run_many`` forever.  These tests
+pin the watchdog contract:
 
 * a task past ``hard_timeout_s`` fails that attempt with
   :class:`TaskTimeoutError` carrying the dispatch context;
 * the worker processes are killed outright (graceful shutdown would
   block on the hung worker), and the pool rebuilds for the retry;
-* an exhausted hang surfaces as ``TaskTimeoutError`` from ``map_shards``
-  and as a structured ``RunFailure`` from ``run_many``;
+* an exhausted hang surfaces as a structured ``RunFailure`` carrying the
+  ``TaskTimeoutError`` context;
 * wall time is bounded by attempts x deadline, not by the hang length.
 """
 
@@ -39,16 +39,27 @@ def _clean_surfaces():
     obs.reset_report()
 
 
-def ident(value):
-    return value
-
-
 class ReturnValue:
     def __init__(self, value):
         self.value = value
 
     def __call__(self):
         return self.value
+
+
+def run_values(pool, values, **kwargs):
+    """``run_many`` over zero-argument specs returning ``values``."""
+    return run_many(
+        [ReturnValue(value) for value in values],
+        workers=2,
+        pool=pool,
+        retry_backoff_s=0.0,
+        **kwargs,
+    )
+
+
+def results_of(entries):
+    return [entry.result for entry in entries]
 
 
 def _hang_spec(shards, times):
@@ -63,14 +74,11 @@ def test_watchdog_kills_and_retry_recovers(monkeypatch):
     with obs_events.recording() as log:
         started = time.perf_counter()
         with WorkerPool(2) as pool:
-            results = pool.map_shards(
-                ident,
-                [(0,), (1,), (2,)],
-                max_attempts=2,
-                deadline=deadline,
+            results = run_values(
+                pool, [0, 1, 2], max_attempts=2, deadline=deadline
             )
         elapsed = time.perf_counter() - started
-    assert results == [0, 1, 2]
+    assert results_of(results) == [0, 1, 2]
     assert elapsed < HANG_S / 4  # bounded by the deadline, not the hang
 
     assert obs.counter_value("pool.task_timeouts") == 1.0
@@ -83,23 +91,24 @@ def test_watchdog_kills_and_retry_recovers(monkeypatch):
 
 
 def test_exhausted_hang_raises_task_timeout_error(monkeypatch):
-    """map_shards: a permanent hang surfaces as TaskTimeoutError."""
+    """A permanent hang's last attempt fails with TaskTimeoutError, whose
+    dispatch context (shard, attempt, deadline) reaches the RunFailure."""
     monkeypatch.setenv(FAULTS_ENV, _hang_spec([0], times=99))
     deadline = TaskDeadline(
         hard_timeout_s=0.5, speculative=False, quarantine_after=0
     )
     started = time.perf_counter()
     with WorkerPool(2) as pool:
-        with pytest.raises(TaskTimeoutError) as excinfo:
-            pool.map_shards(
-                ident, [(0,), (1,)], max_attempts=2, deadline=deadline
-            )
+        failure, survivor = run_values(
+            pool, [0, 1], max_attempts=2, deadline=deadline
+        )
     elapsed = time.perf_counter() - started
     assert elapsed < HANG_S / 4
-    error = excinfo.value
-    assert error.shard_id == 0
-    assert error.timeout_s == 0.5
-    assert error.attempt == 2
+    assert survivor.result == 1
+    assert isinstance(failure, RunFailure)
+    assert failure.error_type == TaskTimeoutError.__name__
+    assert failure.error == str(TaskTimeoutError("run.many", 0, 2, 0.5))
+    assert failure.attempts == 2
     assert obs.counter_value("pool.task_timeouts") == 2.0  # both attempts
 
 
@@ -138,13 +147,10 @@ def test_innocent_inflight_tasks_are_retried_not_condemned(monkeypatch):
     )
     with obs_events.recording() as log:
         with WorkerPool(2) as pool:
-            results = pool.map_shards(
-                ident,
-                [(index,) for index in range(4)],
-                max_attempts=3,
-                deadline=deadline,
+            results = run_values(
+                pool, range(4), max_attempts=3, deadline=deadline
             )
-    assert results == [0, 1, 2, 3]
+    assert results_of(results) == [0, 1, 2, 3]
     # exactly one shard actually timed out; the others were collateral
     assert obs.counter_value("pool.task_timeouts") == 1.0
     assert len(log.by_kind(obs_events.TASK_TIMEOUT)) == 1
@@ -153,17 +159,17 @@ def test_innocent_inflight_tasks_are_retried_not_condemned(monkeypatch):
 def test_no_deadline_means_no_watchdog_overhead():
     """Without a deadline the dispatch loop blocks exactly as before."""
     with WorkerPool(2) as pool:
-        results = pool.map_shards(ident, [(0,), (1,)], deadline=None)
-    assert results == [0, 1]
+        results = run_values(pool, [0, 1], deadline=None)
+    assert results_of(results) == [0, 1]
     assert obs.counter_value("pool.task_timeouts") == 0.0
 
 
 def test_pool_kill_discards_executor_without_waiting():
     """kill() must return promptly and leave the pool lazily rebuildable."""
     with WorkerPool(2) as pool:
-        assert pool.map_shards(ident, [(0,), (1,)]) == [0, 1]
+        assert results_of(run_values(pool, [0, 1])) == [0, 1]
         started = time.perf_counter()
         pool.kill()
         assert time.perf_counter() - started < 5.0
         # the next dispatch re-forks transparently
-        assert pool.map_shards(ident, [(7,), (8,)]) == [7, 8]
+        assert results_of(run_values(pool, [7, 8])) == [7, 8]

@@ -41,49 +41,6 @@ def _remap_doc(peak_reduction):
     }
 
 
-def _engine_doc(serial, parallel, *, cpu_count=4, workers=4):
-    return {
-        "benchmark": "engine",
-        "sections": {
-            "stages": [
-                {"stage": "chaos_suite_serial", "wall_s": serial, "calls": 1},
-                {"stage": "chaos_suite_parallel", "wall_s": parallel, "calls": 1},
-            ],
-            "parallel": {
-                "workers": workers,
-                "cpu_count": cpu_count,
-                "serial_wall_s": serial,
-                "parallel_wall_s": parallel,
-                "speedup": serial / parallel,
-            },
-        },
-    }
-
-
-def _scale_doc(
-    serial, parallel, *, workers=4, cpu_count=4, capture=None, recovery=None
-):
-    sections = {
-        "stages": [
-            {"stage": "score_serial", "wall_s": serial, "calls": 1},
-            {"stage": "score_parallel", "wall_s": parallel, "calls": 1},
-        ],
-        "scaling": {
-            "workers": workers,
-            "cpu_count": cpu_count,
-            "serial_wall_s": serial,
-            "parallel_wall_s": parallel,
-            "speedup": serial / parallel,
-            "efficiency": serial / parallel / workers,
-        },
-    }
-    if capture is not None:
-        sections["capture"] = capture
-    if recovery is not None:
-        sections["recovery"] = recovery
-    return {"benchmark": "scale", "sections": sections}
-
-
 def _capture_section(capture_wall, bare_wall, *, cpu_count=4, workers=4):
     return {
         "workers": workers,
@@ -103,6 +60,51 @@ def _recovery_section(guarded_wall, bare_wall, *, cpu_count=4, workers=4):
         "bare_wall_s": bare_wall,
         "overhead_frac": guarded_wall / bare_wall - 1.0,
         "max_overhead_frac": 0.03,
+    }
+
+
+def _engine_doc(
+    serial, parallel, *, cpu_count=4, workers=4, capture=True, recovery=True
+):
+    """An engine document; ``capture``/``recovery`` default to sections
+    with zero overhead and are omitted when falsy."""
+    if capture is True:
+        capture = _capture_section(
+            parallel, parallel, cpu_count=cpu_count, workers=workers
+        )
+    if recovery is True:
+        recovery = _recovery_section(
+            parallel, parallel, cpu_count=cpu_count, workers=workers
+        )
+    sections = {
+        "stages": [
+            {"stage": "chaos_suite_serial", "wall_s": serial, "calls": 1},
+            {"stage": "chaos_suite_parallel", "wall_s": parallel, "calls": 1},
+        ],
+        "parallel": {
+            "workers": workers,
+            "cpu_count": cpu_count,
+            "serial_wall_s": serial,
+            "parallel_wall_s": parallel,
+            "speedup": serial / parallel,
+        },
+    }
+    if capture:
+        sections["capture"] = capture
+    if recovery:
+        sections["recovery"] = recovery
+    return {"benchmark": "engine", "sections": sections}
+
+
+def _scale_doc(stage_walls):
+    return {
+        "benchmark": "scale",
+        "sections": {
+            "stages": [
+                {"stage": name, "wall_s": wall, "calls": 1}
+                for name, wall in stage_walls.items()
+            ]
+        },
     }
 
 
@@ -271,13 +273,13 @@ class TestCompareEngine:
 class TestCompareCapture:
     def _write(self, directory, doc):
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / "BENCH_scale.json").write_text(json.dumps(doc))
+        (directory / "BENCH_engine.json").write_text(json.dumps(doc))
 
     def test_small_overhead_passes(self, dirs):
         baseline, current = dirs
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
         self._write(
-            current, _scale_doc(8.0, 2.0, capture=_capture_section(2.04, 2.0))
+            current, _engine_doc(8.0, 2.0, capture=_capture_section(2.04, 2.0))
         )
         diff = bench_compare.compare_documents(baseline, current)
         assert diff["capture_gate"]["status"] == "ok"
@@ -288,7 +290,7 @@ class TestCompareCapture:
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
         # 20% over bare and well past the 0.05s floor.
         self._write(
-            current, _scale_doc(8.0, 2.4, capture=_capture_section(2.4, 2.0))
+            current, _engine_doc(8.0, 2.4, capture=_capture_section(2.4, 2.0))
         )
         diff = bench_compare.compare_documents(baseline, current)
         assert diff["capture_gate"]["status"] == "regression"
@@ -299,7 +301,7 @@ class TestCompareCapture:
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
         # 30% relative but only 30ms absolute: under the additive floor.
         self._write(
-            current, _scale_doc(1.0, 0.13, capture=_capture_section(0.13, 0.1))
+            current, _engine_doc(1.0, 0.13, capture=_capture_section(0.13, 0.1))
         )
         diff = bench_compare.compare_documents(baseline, current)
         assert diff["capture_gate"]["status"] == "ok"
@@ -310,7 +312,7 @@ class TestCompareCapture:
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
         self._write(
             current,
-            _scale_doc(
+            _engine_doc(
                 8.0,
                 9.0,
                 cpu_count=1,
@@ -322,18 +324,28 @@ class TestCompareCapture:
         assert "capture" not in " ".join(diff["regressions"])
 
     def test_document_without_capture_section_is_tolerated(self, dirs):
+        """A single-CPU document may omit the section: the gate skips."""
         baseline, current = dirs
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
-        self._write(current, _scale_doc(8.0, 2.0))
+        self._write(current, _engine_doc(8.0, 9.0, cpu_count=1, capture=None))
         diff = bench_compare.compare_documents(baseline, current)
-        assert diff["capture_gate"] is None
+        assert diff["capture_gate"]["status"] == "skipped"
         assert diff["regressions"] == []
+
+    def test_multi_cpu_document_without_capture_section_fails(self, dirs):
+        """A gate that did not run on a multi-CPU host must not pass."""
+        baseline, current = dirs
+        _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
+        self._write(current, _engine_doc(8.0, 2.0, capture=None))
+        diff = bench_compare.compare_documents(baseline, current)
+        assert diff["capture_gate"]["status"] == "missing"
+        assert any("capture overhead" in item for item in diff["regressions"])
 
     def test_custom_overhead_threshold(self, dirs):
         baseline, current = dirs
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
         self._write(
-            current, _scale_doc(8.0, 2.4, capture=_capture_section(2.4, 2.0))
+            current, _engine_doc(8.0, 2.4, capture=_capture_section(2.4, 2.0))
         )
         diff = bench_compare.compare_documents(
             baseline, current, max_capture_overhead=0.25
@@ -344,7 +356,7 @@ class TestCompareCapture:
         baseline, current = dirs
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
         self._write(
-            current, _scale_doc(8.0, 2.0, capture=_capture_section(2.04, 2.0))
+            current, _engine_doc(8.0, 2.0, capture=_capture_section(2.04, 2.0))
         )
         diff = bench_compare.compare_documents(baseline, current)
         assert "capture overhead" in bench_compare.render(diff)
@@ -353,13 +365,13 @@ class TestCompareCapture:
 class TestCompareRecovery:
     def _write(self, directory, doc):
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / "BENCH_scale.json").write_text(json.dumps(doc))
+        (directory / "BENCH_engine.json").write_text(json.dumps(doc))
 
     def test_small_overhead_passes(self, dirs):
         baseline, current = dirs
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
         self._write(
-            current, _scale_doc(8.0, 2.0, recovery=_recovery_section(2.02, 2.0))
+            current, _engine_doc(8.0, 2.0, recovery=_recovery_section(2.02, 2.0))
         )
         diff = bench_compare.compare_documents(baseline, current)
         assert diff["recovery_gate"]["status"] == "ok"
@@ -370,7 +382,7 @@ class TestCompareRecovery:
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
         # 15% over the unguarded pass and well past the 0.05s floor.
         self._write(
-            current, _scale_doc(8.0, 2.0, recovery=_recovery_section(2.3, 2.0))
+            current, _engine_doc(8.0, 2.0, recovery=_recovery_section(2.3, 2.0))
         )
         diff = bench_compare.compare_documents(baseline, current)
         assert diff["recovery_gate"]["status"] == "regression"
@@ -381,7 +393,7 @@ class TestCompareRecovery:
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
         # 30% relative but only 30ms absolute: under the additive floor.
         self._write(
-            current, _scale_doc(1.0, 0.1, recovery=_recovery_section(0.13, 0.1))
+            current, _engine_doc(1.0, 0.1, recovery=_recovery_section(0.13, 0.1))
         )
         diff = bench_compare.compare_documents(baseline, current)
         assert diff["recovery_gate"]["status"] == "ok"
@@ -392,7 +404,7 @@ class TestCompareRecovery:
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
         self._write(
             current,
-            _scale_doc(
+            _engine_doc(
                 8.0,
                 9.0,
                 cpu_count=1,
@@ -404,18 +416,28 @@ class TestCompareRecovery:
         assert "recovery" not in " ".join(diff["regressions"])
 
     def test_document_without_recovery_section_is_tolerated(self, dirs):
+        """A single-CPU document may omit the section: the gate skips."""
         baseline, current = dirs
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
-        self._write(current, _scale_doc(8.0, 2.0))
+        self._write(current, _engine_doc(8.0, 9.0, cpu_count=1, recovery=None))
         diff = bench_compare.compare_documents(baseline, current)
-        assert diff["recovery_gate"] is None
+        assert diff["recovery_gate"]["status"] == "skipped"
         assert diff["regressions"] == []
+
+    def test_multi_cpu_document_without_recovery_section_fails(self, dirs):
+        """A gate that did not run on a multi-CPU host must not pass."""
+        baseline, current = dirs
+        _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
+        self._write(current, _engine_doc(8.0, 2.0, recovery=None))
+        diff = bench_compare.compare_documents(baseline, current)
+        assert diff["recovery_gate"]["status"] == "missing"
+        assert any("recovery overhead" in item for item in diff["regressions"])
 
     def test_custom_overhead_threshold(self, dirs):
         baseline, current = dirs
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
         self._write(
-            current, _scale_doc(8.0, 2.0, recovery=_recovery_section(2.3, 2.0))
+            current, _engine_doc(8.0, 2.0, recovery=_recovery_section(2.3, 2.0))
         )
         diff = bench_compare.compare_documents(
             baseline, current, max_recovery_overhead=0.25
@@ -426,10 +448,41 @@ class TestCompareRecovery:
         baseline, current = dirs
         _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
         self._write(
-            current, _scale_doc(8.0, 2.0, recovery=_recovery_section(2.02, 2.0))
+            current, _engine_doc(8.0, 2.0, recovery=_recovery_section(2.02, 2.0))
         )
         diff = bench_compare.compare_documents(baseline, current)
         assert "recovery overhead" in bench_compare.render(diff)
+
+
+class TestCompareScale:
+    def _write(self, directory, doc):
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "BENCH_scale.json").write_text(json.dumps(doc))
+
+    def test_stage_walls_gated_by_tolerance(self, dirs):
+        baseline, current = dirs
+        _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
+        self._write(baseline, _scale_doc({"score_serial": 0.3}))
+        self._write(current, _scale_doc({"score_serial": 3.0}))
+        diff = bench_compare.compare_documents(baseline, current)
+        assert [row["status"] for row in diff["scale"]] == ["regression"]
+        assert any("scale stage" in item for item in diff["regressions"])
+
+    def test_fresh_document_without_baseline_is_new(self, dirs):
+        baseline, current = dirs
+        _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
+        self._write(current, _scale_doc({"score_serial": 0.3}))
+        diff = bench_compare.compare_documents(baseline, current)
+        assert diff["scale"] == []
+        assert diff["regressions"] == []
+
+    def test_vanished_fresh_document_is_lost_coverage(self, dirs):
+        baseline, current = dirs
+        _write_pair(current, _pipeline_doc(BASE_STAGES), _remap_doc(BASE_PEAKS))
+        self._write(baseline, _scale_doc({"score_serial": 0.3}))
+        diff = bench_compare.compare_documents(baseline, current)
+        assert [row["status"] for row in diff["scale"]] == ["missing"]
+        assert any("scale stage" in item for item in diff["regressions"])
 
 
 class TestMainOutput:

@@ -68,38 +68,42 @@ def _marker_events(log):
 
 
 # ----------------------------------------------------------------------
-# map_shards
+# one doomed spec beside a healthy one (a lone spec would run serially)
 # ----------------------------------------------------------------------
 def test_final_attempt_bundle_merges_exactly_once_per_attempt():
     """Two attempts, both failing: two marker events, two task_errors."""
     with obs_events.recording() as log:
         with WorkerPool(2) as pool:
-            with pytest.raises(ValueError, match="always failing"):
-                pool.map_shards(
-                    emit_marker_then_raise,
-                    [("only",)],
-                    max_attempts=2,
-                    retry_backoff_s=0.0,
-                    label="doomed.shard",
-                )
+            failure, healthy = run_many(
+                [SpecRaises("only"), lambda_free_ok],
+                workers=2,
+                pool=pool,
+                max_attempts=2,
+                retry_backoff_s=0.0,
+            )
+    assert isinstance(failure, RunFailure)
+    assert "always failing" in failure.error
+    assert healthy.result == "ok"
     # one bundle per failed attempt, each merged exactly once
     assert len(_marker_events(log)) == 2
     assert len(log.by_kind(obs_events.TASK_ERROR)) == 2
     assert obs.counter_value("pool.tasks_failed") == 2.0
-    assert obs.counter_value("pool.tasks_dispatched") == 2.0
+    # the doomed spec's two attempts plus the healthy spec's one
+    assert obs.counter_value("pool.tasks_dispatched") == 3.0
     assert obs.counter_value("pool.tasks_retried") == 1.0
 
 
 def test_single_attempt_failure_counts_once():
     with obs_events.recording() as log:
         with WorkerPool(2) as pool:
-            with pytest.raises(ValueError):
-                pool.map_shards(
-                    emit_marker_then_raise,
-                    [("solo",)],
-                    max_attempts=1,
-                    label="doomed.shard",
-                )
+            failure, healthy = run_many(
+                [SpecRaises("solo"), lambda_free_ok],
+                workers=2,
+                pool=pool,
+                max_attempts=1,
+            )
+    assert failure.error_type == "ValueError"
+    assert healthy.result == "ok"
     assert len(_marker_events(log)) == 1
     assert obs.counter_value("pool.tasks_failed") == 1.0
     assert obs.counter_value("pool.tasks_retried") == 0.0

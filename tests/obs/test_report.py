@@ -30,7 +30,7 @@ class TestStageSummary:
     def test_imbalance_is_max_over_mean_exec(self):
         collector = RunReportCollector()
         record = collector.record_stage(
-            "score.shard", workers=2, wall_s=4.0, tasks=_stage_tasks()
+            "run.many", workers=2, wall_s=4.0, tasks=_stage_tasks()
         )
         summary = record.summary()
         assert summary["mean_exec_s"] == pytest.approx(2.0)
@@ -40,7 +40,7 @@ class TestStageSummary:
     def test_per_worker_utilization(self):
         collector = RunReportCollector()
         record = collector.record_stage(
-            "score.shard", workers=2, wall_s=4.0, tasks=_stage_tasks()
+            "run.many", workers=2, wall_s=4.0, tasks=_stage_tasks()
         )
         per_worker = record.summary()["per_worker"]
         assert per_worker["101"]["tasks"] == 2
@@ -51,7 +51,7 @@ class TestStageSummary:
     def test_slowest_shards_ranked(self):
         collector = RunReportCollector()
         record = collector.record_stage(
-            "score.shard", workers=2, wall_s=4.0, tasks=_stage_tasks()
+            "run.many", workers=2, wall_s=4.0, tasks=_stage_tasks()
         )
         slowest = record.summary()["slowest_shards"]
         assert [entry["shard_id"] for entry in slowest] == [1, 2, 0]

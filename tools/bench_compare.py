@@ -29,18 +29,18 @@ documents and compares them stage by stage against the committed set:
   missing committed baseline is a *new* benchmark — recorded, never a
   failure — but the fresh gate thresholds still apply;
 * the fleet-scale document (``BENCH_scale.json`` from
-  ``benchmarks/bench_scale.py``) gates parallel scaling *efficiency*
-  (``speedup / workers >= --min-efficiency``) on multi-CPU runners; a
-  single-CPU host skips the gate, and a missing committed baseline is a
-  new benchmark, never a failure;
-* the same document's ``capture`` section gates worker-telemetry capture
-  overhead: the parallel pass with capture on may cost at most
-  ``--max-capture-overhead`` (default 5%) over the identical pass with
-  ``REPRO_OBS_CAPTURE=0``, plus the additive floor so timer jitter on
-  sub-second passes cannot trip it.  Single-CPU hosts skip the gate, and
-  a fresh document without the section (an older generator) is tolerated;
+  ``benchmarks/bench_scale.py``) carries stage walls (synthesize,
+  aggregate, serial scoring) under the same wall-time tolerance; a
+  missing committed baseline is a new benchmark, never a failure;
+* the engine document's ``capture`` section gates worker-telemetry
+  capture overhead: the pooled ``run_many`` pass with capture on may cost
+  at most ``--max-capture-overhead`` (default 5%) over the identical pass
+  with ``REPRO_OBS_CAPTURE=0``, plus the additive floor so timer jitter
+  on sub-second passes cannot trip it.  Single-CPU hosts skip the gate;
+  a multi-CPU document without the section reports ``missing``, which
+  fails the gate;
 * its ``recovery`` section gates the failure-domain layer the same way:
-  the parallel pass under an armed (never firing) deadline may cost at
+  the pooled pass under an armed (never firing) deadline may cost at
   most ``--max-recovery-overhead`` (default 3%) over the identical
   unguarded pass, plus the floor.  Same skip rules as ``capture``;
 * the incremental-state document (``BENCH_incremental.json`` from
@@ -92,19 +92,15 @@ DEFAULT_MIN_SPEEDUP = 1.3
 #: counts as a regression against a committed baseline.
 DEFAULT_AVOIDED_TOLERANCE = 0.05
 
-#: Minimum parallel scaling efficiency (speedup / workers) on multi-CPU
-#: runners for the fleet-scale scoring benchmark.
-DEFAULT_MIN_EFFICIENCY = 0.7
-
 #: Maximum fractional overhead of worker-telemetry capture over the same
-#: parallel pass with ``REPRO_OBS_CAPTURE=0`` (the ``capture`` section of
-#: ``BENCH_scale.json``).
+#: pooled pass with ``REPRO_OBS_CAPTURE=0`` (the ``capture`` section of
+#: ``BENCH_engine.json``).
 DEFAULT_MAX_CAPTURE_OVERHEAD = 0.05
 
 #: Maximum fractional overhead of the failure-domain layer (armed but
 #: never-firing deadlines: watchdog polling + straggler bookkeeping) over
-#: the identical unguarded parallel pass (the ``recovery`` section of
-#: ``BENCH_scale.json``).
+#: the identical unguarded pooled pass (the ``recovery`` section of
+#: ``BENCH_engine.json``).
 DEFAULT_MAX_RECOVERY_OVERHEAD = 0.03
 
 #: Minimum incremental-vs-full-recompute speedup per placement delta at
@@ -278,39 +274,53 @@ def compare_robust(
     return row
 
 
-def compare_scale(
-    baseline: Optional[Dict],
+def _overhead_gate(
     current: Dict,
+    section: str,
+    check: str,
+    measured_key: str,
+    bare_key: str,
     *,
-    min_efficiency: float = DEFAULT_MIN_EFFICIENCY,
+    max_overhead: float,
+    floor_s: float,
 ) -> Dict:
-    """The scaling-efficiency row for a fresh ``BENCH_scale.json``.
+    """One overhead row judged on a fresh ``BENCH_engine.json`` alone.
 
-    Efficiency is host-relative, so the gate judges the fresh run alone:
-    on a multi-CPU host ``speedup / workers`` must clear
-    ``min_efficiency``; a single-CPU host reports ``skipped``.  A missing
-    committed baseline marks the benchmark ``new`` (when the gate itself
-    passes) — recorded, never a failure.
+    Both walls come from the same host in the same process, so there is
+    nothing to diff against a baseline: ``measured_key`` may cost at most
+    ``bare * (1 + max_overhead) + floor_s``.  A single-CPU document
+    reports ``skipped``; a multi-CPU document without the section (or
+    either wall) reports ``missing``, so a gate that did not run can
+    never pass.
     """
-    scaling = current["sections"].get("scaling")
-    if not scaling:
-        return {"check": "scale_efficiency", "status": "missing"}
+    measured = current["sections"].get(section)
+    if not measured:
+        parallel = current["sections"].get("parallel") or {}
+        cpu_count = parallel.get("cpu_count") or 1
+        return {
+            "check": check,
+            "cpu_count": cpu_count,
+            "status": "skipped" if cpu_count < 2 else "missing",
+        }
     row: Dict = {
-        "check": "scale_efficiency",
-        "workers": scaling.get("workers"),
-        "cpu_count": scaling.get("cpu_count"),
-        "speedup": scaling.get("speedup"),
-        "efficiency": scaling.get("efficiency"),
-        "min_efficiency": min_efficiency,
+        "check": check,
+        "workers": measured.get("workers"),
+        "cpu_count": measured.get("cpu_count"),
+        measured_key: measured.get(measured_key),
+        bare_key: measured.get(bare_key),
+        "overhead_frac": measured.get("overhead_frac"),
+        "max_overhead_frac": max_overhead,
     }
-    if (scaling.get("cpu_count") or 1) < 2:
+    bare = measured.get(bare_key)
+    wall = measured.get(measured_key)
+    if (measured.get("cpu_count") or 1) < 2:
         row["status"] = "skipped"
-    elif scaling.get("efficiency") is None:
+    elif bare is None or wall is None:
         row["status"] = "missing"
-    elif scaling["efficiency"] < min_efficiency:
-        row["status"] = "regression"
     else:
-        row["status"] = "new" if baseline is None else "ok"
+        limit = bare * (1.0 + max_overhead) + floor_s
+        row["limit_s"] = limit
+        row["status"] = "ok" if wall <= limit else "regression"
     return row
 
 
@@ -319,39 +329,19 @@ def compare_capture(
     *,
     max_overhead: float = DEFAULT_MAX_CAPTURE_OVERHEAD,
     floor_s: float = DEFAULT_FLOOR_S,
-) -> Optional[Dict]:
-    """The telemetry-capture overhead row for a fresh ``BENCH_scale.json``.
-
-    Judged on the fresh run alone (both walls come from the same host in
-    the same process): with capture enabled the parallel pass may cost at
-    most ``no_capture_wall * (1 + max_overhead) + floor_s``.  Single-CPU
-    hosts skip the gate, and a document without the section (generated
-    before the capture layer existed) reports ``None`` — tolerated so old
-    baselines keep comparing.
-    """
-    capture = current["sections"].get("capture")
-    if not capture:
-        return None
-    row: Dict = {
-        "check": "capture_overhead",
-        "workers": capture.get("workers"),
-        "cpu_count": capture.get("cpu_count"),
-        "capture_wall_s": capture.get("capture_wall_s"),
-        "no_capture_wall_s": capture.get("no_capture_wall_s"),
-        "overhead_frac": capture.get("overhead_frac"),
-        "max_overhead_frac": max_overhead,
-    }
-    bare = capture.get("no_capture_wall_s")
-    captured = capture.get("capture_wall_s")
-    if (capture.get("cpu_count") or 1) < 2:
-        row["status"] = "skipped"
-    elif bare is None or captured is None:
-        row["status"] = "missing"
-    else:
-        limit = bare * (1.0 + max_overhead) + floor_s
-        row["limit_s"] = limit
-        row["status"] = "ok" if captured <= limit else "regression"
-    return row
+) -> Dict:
+    """The telemetry-capture overhead row for a fresh ``BENCH_engine.json``:
+    the pooled pass with capture on against the same pass with
+    ``REPRO_OBS_CAPTURE=0`` (see :func:`_overhead_gate`)."""
+    return _overhead_gate(
+        current,
+        "capture",
+        "capture_overhead",
+        "capture_wall_s",
+        "no_capture_wall_s",
+        max_overhead=max_overhead,
+        floor_s=floor_s,
+    )
 
 
 def compare_recovery(
@@ -359,39 +349,19 @@ def compare_recovery(
     *,
     max_overhead: float = DEFAULT_MAX_RECOVERY_OVERHEAD,
     floor_s: float = DEFAULT_FLOOR_S,
-) -> Optional[Dict]:
-    """The failure-domain overhead row for a fresh ``BENCH_scale.json``.
-
-    Judged on the fresh run alone, like :func:`compare_capture`: the
-    parallel pass under an armed (never firing) deadline may cost at most
-    ``bare_wall * (1 + max_overhead) + floor_s`` over the identical
-    unguarded pass.  Single-CPU hosts skip the gate, and a document
-    without the section (generated before the deadline layer existed)
-    reports ``None`` — tolerated so old baselines keep comparing.
-    """
-    recovery = current["sections"].get("recovery")
-    if not recovery:
-        return None
-    row: Dict = {
-        "check": "recovery_overhead",
-        "workers": recovery.get("workers"),
-        "cpu_count": recovery.get("cpu_count"),
-        "guarded_wall_s": recovery.get("guarded_wall_s"),
-        "bare_wall_s": recovery.get("bare_wall_s"),
-        "overhead_frac": recovery.get("overhead_frac"),
-        "max_overhead_frac": max_overhead,
-    }
-    bare = recovery.get("bare_wall_s")
-    guarded = recovery.get("guarded_wall_s")
-    if (recovery.get("cpu_count") or 1) < 2:
-        row["status"] = "skipped"
-    elif bare is None or guarded is None:
-        row["status"] = "missing"
-    else:
-        limit = bare * (1.0 + max_overhead) + floor_s
-        row["limit_s"] = limit
-        row["status"] = "ok" if guarded <= limit else "regression"
-    return row
+) -> Dict:
+    """The failure-domain overhead row for a fresh ``BENCH_engine.json``:
+    the pooled pass under an armed (never firing) deadline against the
+    identical unguarded pass (see :func:`_overhead_gate`)."""
+    return _overhead_gate(
+        current,
+        "recovery",
+        "recovery_overhead",
+        "guarded_wall_s",
+        "bare_wall_s",
+        max_overhead=max_overhead,
+        floor_s=floor_s,
+    )
 
 
 def compare_incremental(
@@ -438,7 +408,6 @@ def compare_documents(
     floor_s: float = DEFAULT_FLOOR_S,
     peak_tolerance: float = DEFAULT_PEAK_TOLERANCE,
     min_speedup: float = DEFAULT_MIN_SPEEDUP,
-    min_efficiency: float = DEFAULT_MIN_EFFICIENCY,
     max_capture_overhead: float = DEFAULT_MAX_CAPTURE_OVERHEAD,
     max_recovery_overhead: float = DEFAULT_MAX_RECOVERY_OVERHEAD,
     min_incremental_speedup: float = DEFAULT_MIN_INCREMENTAL_SPEEDUP,
@@ -461,6 +430,8 @@ def compare_documents(
     engine_cur_path = current_dir / "BENCH_engine.json"
     engine_rows: List[Dict] = []
     engine_parallel: Optional[Dict] = None
+    capture_gate: Optional[Dict] = None
+    recovery_gate: Optional[Dict] = None
     if engine_cur_path.exists():
         engine_cur = load_document(engine_cur_path)
         if engine_base_path.exists():
@@ -472,6 +443,12 @@ def compare_documents(
             )
         engine_parallel = compare_engine_parallel(
             engine_cur, min_speedup=min_speedup
+        )
+        capture_gate = compare_capture(
+            engine_cur, max_overhead=max_capture_overhead, floor_s=floor_s
+        )
+        recovery_gate = compare_recovery(
+            engine_cur, max_overhead=max_recovery_overhead, floor_s=floor_s
         )
     elif engine_base_path.exists():
         # The stage walls vanished from the fresh run: lost coverage.
@@ -494,34 +471,23 @@ def compare_documents(
         )
     elif robust_base_path.exists():
         robust_gate = {"check": "robust_gate", "status": "missing"}
-    # Fleet-scale scaling gate.  Same convention: fresh without baseline
-    # is new, baseline without fresh is lost coverage.
+    # Fleet-scale stage walls.  A fresh document without a baseline is
+    # new (nothing to diff); a baseline without a fresh document is lost
+    # coverage, so every baseline stage reads missing.
     scale_base_path = baseline_dir / "BENCH_scale.json"
     scale_cur_path = current_dir / "BENCH_scale.json"
     scale_rows: List[Dict] = []
-    scale_gate: Optional[Dict] = None
-    capture_gate: Optional[Dict] = None
-    recovery_gate: Optional[Dict] = None
-    if scale_cur_path.exists():
-        scale_cur = load_document(scale_cur_path)
-        scale_base = (
-            load_document(scale_base_path) if scale_base_path.exists() else None
+    if scale_base_path.exists():
+        scale_rows = compare_pipeline(
+            load_document(scale_base_path),
+            (
+                load_document(scale_cur_path)
+                if scale_cur_path.exists()
+                else {"benchmark": "scale", "sections": {}}
+            ),
+            tolerance=tolerance,
+            floor_s=floor_s,
         )
-        if scale_base is not None:
-            scale_rows = compare_pipeline(
-                scale_base, scale_cur, tolerance=tolerance, floor_s=floor_s
-            )
-        scale_gate = compare_scale(
-            scale_base, scale_cur, min_efficiency=min_efficiency
-        )
-        capture_gate = compare_capture(
-            scale_cur, max_overhead=max_capture_overhead, floor_s=floor_s
-        )
-        recovery_gate = compare_recovery(
-            scale_cur, max_overhead=max_recovery_overhead, floor_s=floor_s
-        )
-    elif scale_base_path.exists():
-        scale_gate = {"check": "scale_efficiency", "status": "missing"}
     # Incremental-state speedup gate.  Fresh without baseline is new,
     # baseline without fresh is lost coverage.
     incr_base_path = baseline_dir / "BENCH_incremental.json"
@@ -557,8 +523,6 @@ def compare_documents(
         regressions.append(f"engine speedup: {engine_parallel['status']}")
     if robust_gate is not None and robust_gate["status"] in bad_status:
         regressions.append(f"robust gate: {robust_gate['status']}")
-    if scale_gate is not None and scale_gate["status"] in bad_status:
-        regressions.append(f"scale efficiency: {scale_gate['status']}")
     if capture_gate is not None and capture_gate["status"] in bad_status:
         regressions.append(f"capture overhead: {capture_gate['status']}")
     if recovery_gate is not None and recovery_gate["status"] in bad_status:
@@ -572,7 +536,6 @@ def compare_documents(
         "floor_s": floor_s,
         "peak_tolerance": peak_tolerance,
         "min_speedup": min_speedup,
-        "min_efficiency": min_efficiency,
         "max_capture_overhead": max_capture_overhead,
         "max_recovery_overhead": max_recovery_overhead,
         "min_incremental_speedup": min_incremental_speedup,
@@ -582,7 +545,6 @@ def compare_documents(
         "engine_parallel": engine_parallel,
         "robust": robust_gate,
         "scale": scale_rows,
-        "scale_gate": scale_gate,
         "capture_gate": capture_gate,
         "recovery_gate": recovery_gate,
         "incremental_gate": incremental_gate,
@@ -615,16 +577,6 @@ def render(diff: Dict) -> str:
             f"cpus={parallel.get('cpu_count')}, "
             f"min={fmt(parallel.get('min_speedup'), '.2f', 'x')}) "
             f"{parallel['status']}"
-        )
-    scale_gate = diff.get("scale_gate")
-    if scale_gate is not None:
-        lines.append(
-            f"scale efficiency: {fmt(scale_gate.get('efficiency'), '.2f')} "
-            f"(speedup={fmt(scale_gate.get('speedup'), '.2f', 'x')}, "
-            f"workers={scale_gate.get('workers')}, "
-            f"cpus={scale_gate.get('cpu_count')}, "
-            f"min={fmt(scale_gate.get('min_efficiency'), '.2f')}) "
-            f"{scale_gate['status']}"
         )
     capture_gate = diff.get("capture_gate")
     if capture_gate is not None:
@@ -719,12 +671,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="min chaos-suite parallel speedup on multi-CPU runners",
     )
     parser.add_argument(
-        "--min-efficiency",
-        type=float,
-        default=DEFAULT_MIN_EFFICIENCY,
-        help="min fleet-scale scaling efficiency on multi-CPU runners",
-    )
-    parser.add_argument(
         "--max-capture-overhead",
         type=float,
         default=DEFAULT_MAX_CAPTURE_OVERHEAD,
@@ -757,7 +703,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         floor_s=args.floor,
         peak_tolerance=args.peak_tolerance,
         min_speedup=args.min_speedup,
-        min_efficiency=args.min_efficiency,
         max_capture_overhead=args.max_capture_overhead,
         max_recovery_overhead=args.max_recovery_overhead,
         min_incremental_speedup=args.min_incremental_speedup,
