@@ -71,7 +71,7 @@ def _run_faulted(full_scale):
     from repro.faults.repair import repair_telemetry
     from repro.infra.budget import provision_hierarchical
     from repro.infra.aggregation import NodePowerView
-    from repro.infra.capping import CappingSimulator
+    from repro.engine import CappingSimulator
     from repro.traces.instance import ServiceKind
     from repro.traces.perturbations import inject_surge
 

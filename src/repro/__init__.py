@@ -62,7 +62,6 @@ from .infra import (
 from .reshaping import (
     ConversionPolicy,
     ReactiveConversionRuntime,
-    ReshapingRuntime,
     ThrottleBoostPolicy,
     learn_conversion_threshold,
 )
@@ -115,7 +114,6 @@ __all__ = [
     # reshaping
     "ConversionPolicy",
     "ThrottleBoostPolicy",
-    "ReshapingRuntime",
     "ReactiveConversionRuntime",
     "learn_conversion_threshold",
     # datasets

@@ -11,7 +11,7 @@ by every figure, exactly as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,8 +34,7 @@ from ..infra.topology import Level, PowerTopology
 from ..reshaping.conversion import ConversionPolicy
 from ..reshaping.fleet import derive_demand, describe_fleet
 from ..reshaping.lconv import learn_conversion_threshold
-from ..engine import Engine, ScenarioSpec
-from ..reshaping.runtime import ReshapingComparison
+from ..engine import Engine, ScenarioResult, ScenarioSpec
 from ..reshaping.throttling import ThrottleBoostPolicy
 from ..traces.percentiles import band_summary
 from ..traces.service import extract_basis_traces, total_energy_by_service
@@ -347,6 +346,53 @@ def run_figure11(
 # ----------------------------------------------------------------------
 # Figures 12-14: dynamic power profile reshaping
 # ----------------------------------------------------------------------
+@dataclass
+class ReshapingComparison:
+    """Figure 13/14-style comparison of reshaping scenarios against ``pre``."""
+
+    pre: ScenarioResult
+    scenarios: Dict[str, ScenarioResult] = field(default_factory=dict)
+
+    def lc_improvement(self, name: str) -> float:
+        base = self.pre.lc_total()
+        if base == 0:
+            return 0.0
+        return self.scenarios[name].lc_total() / base - 1.0
+
+    def batch_improvement(self, name: str) -> float:
+        base = self.pre.batch_total()
+        if base == 0:
+            return 0.0
+        return self.scenarios[name].batch_total() / base - 1.0
+
+    def slack_reduction(
+        self,
+        name: str,
+        mask: Optional[np.ndarray] = None,
+        *,
+        baseline: str = "pre",
+    ) -> float:
+        """Fractional reduction of mean power slack vs a baseline (Figure 14).
+
+        ``mask`` restricts the comparison to a subset of steps (e.g. the
+        off-peak / Batch-heavy hours).  ``baseline`` is ``"pre"`` or the
+        name of another scenario; comparing ``"throttle_boost"`` against
+        ``"lc_only"`` isolates what *dynamic reshaping itself* (conversion +
+        throttling/boosting) does with the slack, separate from the static
+        effect of simply hosting more servers.
+        """
+        base = self.pre if baseline == "pre" else self.scenarios[baseline]
+        before = base.power_slack()
+        after = self.scenarios[name].power_slack()
+        if mask is not None:
+            before = before[mask]
+            after = after[mask]
+        mean_before = float(before.mean())
+        if mean_before <= 0:
+            return 0.0
+        return 1.0 - float(after.mean()) / mean_before
+
+
 @dataclass
 class ReshapingStudy:
     """Scenario comparison plus the knobs that produced it."""

@@ -1,16 +1,13 @@
 """The unified simulation core.
 
-One :class:`Engine` replaces the three scenario stacks that grew up in
-parallel — ``repro.reshaping.runtime`` (clean Sec. 4 scenarios),
-``repro.faults.runtime`` (the same scenarios under injected faults) and
-``repro.infra.capping`` (the emergency fallback).  Scenarios are described
-declaratively by :class:`ScenarioSpec` / :class:`ChaosSpec`, executed by
-:meth:`Engine.run` through a pipeline of :class:`Policy` / :class:`Actuator`
-plugins, and fanned out across processes by :func:`run_many`.
-
-The legacy entry points remain importable as thin shims and produce
-bit-identical results (pinned by the golden parity suite in
-``tests/engine/``).
+One :class:`Engine` runs every Sec. 4 scenario: the clean reshaping modes
+(pre, lc_only, conversion, throttle_boost), the same scenarios under
+injected runtime faults, and the emergency capping fallback.  Scenarios are
+described declaratively by :class:`ScenarioSpec` / :class:`ChaosSpec`,
+executed by :meth:`Engine.run` (or :func:`execute`) through a pipeline of
+:class:`Policy` / :class:`Actuator` plugins, and fanned out across
+processes by :func:`run_many`.  The golden parity suite in
+``tests/engine/`` pins the results bit for bit.
 """
 
 from .delta import (  # noqa: F401  (import order: leaf modules first)

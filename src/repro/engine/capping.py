@@ -13,8 +13,8 @@ class down to a floor.
 The headline metric is **LC energy shed**: work taken away from user-facing
 services, the paper's proxy for QoS damage.
 
-This is the canonical home of the capping loop; ``repro.infra.capping``
-re-exports it for backward compatibility.
+:meth:`repro.engine.Engine.recover` drives this loop as the emergency
+fallback of the chaos scenarios.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ class CappingSimulator:
                 obs_events.emit(
                     obs_events.CAPPING,
                     severity="warning" if residual == 0 else "critical",
-                    source="infra.capping",
+                    source="engine.capping",
                     node=node.name,
                     event_steps=events,
                     shed_by_kind=dict(shed_by_kind),

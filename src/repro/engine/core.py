@@ -1,17 +1,13 @@
 """The simulation core: one run loop for every scenario runtime.
 
 :class:`Engine` owns the fleet models, the trace assembly step, the
-conversion planner, and the emergency capping fallback that the legacy
-``ReshapingRuntime`` / ``ChaosReshapingRuntime`` / ``CappingSimulator``
-stacks each re-implemented.  :meth:`Engine.run` executes one declarative
-:class:`~repro.engine.spec.ScenarioSpec` through its policy/actuator
-pipeline and returns :class:`~repro.engine.state.RunArtifacts`.
-
-The legacy entry points survive as thin shims
-(:class:`repro.reshaping.runtime.ReshapingRuntime`,
-:class:`repro.faults.runtime.ChaosReshapingRuntime`) and produce
-bit-identical results — the golden parity suite in ``tests/engine/``
-pins that.
+conversion planner, and the emergency capping fallback
+(:meth:`Engine.recover`, driving
+:class:`~repro.engine.capping.CappingSimulator`).  :meth:`Engine.run`
+executes one declarative :class:`~repro.engine.spec.ScenarioSpec` through
+its policy/actuator pipeline and returns
+:class:`~repro.engine.state.RunArtifacts`; the golden parity suite in
+``tests/engine/`` pins its results bit for bit.
 """
 
 from __future__ import annotations

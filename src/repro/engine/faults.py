@@ -1,7 +1,7 @@
 """Fault models and chaos-run result types for the engine.
 
-The canonical home of the runtime-fault dataclasses that historically
-lived in ``repro.faults.runtime`` (which still re-exports them):
+The runtime failure modes a production fleet has, which the paper's
+failure-free Sec. 4 runtime leaves out:
 
 * :class:`ServerFailureSchedule` — groups of LC or Batch servers offline
   for contiguous windows;

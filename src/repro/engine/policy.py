@@ -6,8 +6,7 @@ and mutates the run's :class:`~repro.engine.state.FleetState` (and may set
 sequence, as throttle/boost does).  An *actuator* runs after assembly and
 transforms the assembled result — the emergency capping fallback is one.
 
-What used to be subclass overrides (``ChaosReshapingRuntime`` extending
-``ReshapingRuntime``) is now a pipeline of these plugins, chosen per
+Fault layering is a pipeline of these plugins, chosen per
 :class:`~repro.engine.spec.ScenarioSpec` mode or supplied explicitly.
 """
 

@@ -39,8 +39,8 @@ MODES = (
     "spike_chaos",
 )
 
-#: The scenario label each mode stamps on its result (matches the legacy
-#: runtimes: the chaotic throttle/boost run keeps the clean run's name).
+#: The scenario label each mode stamps on its result (the chaotic
+#: throttle/boost run keeps the clean run's name).
 _MODE_LABELS = {
     "pre": "pre",
     "lc_only": "lc_only",
@@ -100,7 +100,7 @@ def build_pipeline(
     """The (policies, actuators) pipeline for one spec.
 
     Explicit ``spec.policies`` / ``spec.actuators`` win; otherwise the
-    mode picks the same plugin sequence the legacy runtimes hard-coded.
+    mode picks its default plugin sequence.
     """
     if spec.policies is not None or spec.actuators is not None:
         return tuple(spec.policies or ()), tuple(spec.actuators or ())

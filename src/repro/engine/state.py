@@ -1,12 +1,10 @@
 """Shared simulation state: fleet description, per-run state, artifacts.
 
-:class:`FleetDescription` and :class:`ScenarioResult` are the canonical
-homes of the dataclasses that historically lived in
-``repro.reshaping.runtime`` (which still re-exports them for backward
-compatibility).  :class:`FleetState` is the mutable value object the
-engine's policy pipeline edits in place of the parallel bookkeeping each
-legacy runtime kept by hand, and :class:`RunArtifacts` is the uniform
-return type of :meth:`repro.engine.Engine.run`.
+:class:`FleetDescription` is the aggregate fleet a scenario runs on and
+:class:`ScenarioResult` the per-step outcome of one scenario.
+:class:`FleetState` is the mutable value object the engine's policy
+pipeline edits while planning a run, and :class:`RunArtifacts` is the
+uniform return type of :meth:`repro.engine.Engine.run`.
 """
 
 from __future__ import annotations

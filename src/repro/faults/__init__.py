@@ -9,9 +9,11 @@ where every runtime action succeeds.  This package drops both assumptions:
 * :mod:`repro.faults.repair` — the explicit sanitisation gate back to the
   strict :class:`~repro.traces.traceset.TraceSet` world, with a full audit
   trail of what was repaired;
-* :mod:`repro.faults.runtime` — server-failure schedules, flaky conversion
-  actions with bounded retry/backoff, and the emergency capping fallback
-  that keeps ``overload_steps() == 0`` by construction;
+* the runtime fault models — server-failure schedules, flaky conversions
+  with bounded retry/backoff, and the emergency capping fallback that keeps
+  ``overload_steps() == 0`` by construction — live in
+  :mod:`repro.engine.faults` and run as chaos-mode
+  :class:`~repro.engine.ScenarioSpec` pipelines;
 * :mod:`repro.faults.harness` — named chaos scenarios driving the whole
   pipeline (synthesize → inject → repair → place → reshape) and reporting
   breaker trips, LC energy shed, dropped demand, and placement-quality
@@ -45,37 +47,21 @@ from .repair import (
     realign,
     repair_telemetry,
 )
-from .runtime import (
-    ChaosReshapingRuntime,
-    ChaosRunResult,
-    ConversionFaultModel,
-    ConversionLog,
-    FailureEvent,
-    RecoveryReport,
-    ServerFailureSchedule,
-)
 
 __all__ = [
     "DEFAULT_SUITE",
     "QUALITY_TOLERANCE",
     "ChaosScenario",
     "ChaosScenarioOutcome",
-    "ChaosReshapingRuntime",
-    "ChaosRunResult",
-    "ConversionFaultModel",
-    "ConversionLog",
-    "FailureEvent",
     "FaultPlan",
     "GridMisalignment",
     "NegativeGlitch",
     "PowerSpike",
     "RawTelemetry",
-    "RecoveryReport",
     "RepairOutcome",
     "RepairPolicy",
     "RepairReport",
     "SensorDropout",
-    "ServerFailureSchedule",
     "StuckSensor",
     "dirty_copy",
     "format_chaos_table",

@@ -32,7 +32,15 @@ from ..analysis.report import format_percent, format_table
 from ..core.metrics import node_asynchrony_scores
 from ..core.pipeline import SmoothOperator, SmoothOperatorConfig
 from ..core.placement import PlacementConfig
-from ..engine import Engine, ScenarioSpec, chaos_spec, run_many
+from ..engine import (
+    ChaosRunResult,
+    ConversionFaultModel,
+    Engine,
+    ScenarioSpec,
+    ServerFailureSchedule,
+    chaos_spec,
+    run_many,
+)
 from ..infra.aggregation import NodePowerView
 from ..infra.breaker import BreakerModel, audit_view, power_safe
 from ..infra.budget import provision_hierarchical
@@ -52,11 +60,6 @@ from .inject import (
     dirty_copy,
 )
 from .repair import RepairPolicy, RepairReport, repair_telemetry
-from .runtime import (
-    ChaosRunResult,
-    ConversionFaultModel,
-    ServerFailureSchedule,
-)
 
 #: Quality tolerance of the acceptance criterion: a repaired-input placement
 #: may lose at most this fraction of the clean placement's asynchrony score.

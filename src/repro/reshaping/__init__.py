@@ -1,8 +1,9 @@
 """Dynamic power profile reshaping (Sec. 4).
 
 History-based server conversion on storage-disaggregated servers, proactive
-throttling and boosting of batch clusters, and the runtime that simulates a
-datacenter's week under each policy.
+throttling and boosting of batch clusters, the reactive conversion
+controller, and the helpers that derive a fleet and its demand from a placed
+datacenter.  The scenarios themselves run on :mod:`repro.engine`.
 """
 
 from .conversion import ConversionPolicy
@@ -15,12 +16,6 @@ from .fleet import (
 )
 from .lconv import ThresholdPolicy, learn_conversion_threshold, threshold_from_slo
 from .reactive import ReactiveConfig, ReactiveConversionRuntime
-from .runtime import (
-    FleetDescription,
-    ReshapingComparison,
-    ReshapingRuntime,
-    ScenarioResult,
-)
 from .throttling import ThrottleBoostPolicy
 
 __all__ = [
@@ -31,10 +26,6 @@ __all__ = [
     "learn_conversion_threshold",
     "ConversionPolicy",
     "ThrottleBoostPolicy",
-    "FleetDescription",
-    "ReshapingRuntime",
-    "ReshapingComparison",
-    "ScenarioResult",
     "split_by_kind",
     "estimate_server_model",
     "aggregate_trace",

@@ -12,11 +12,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine.state import FleetDescription
 from ..sim.demand import DemandTrace, demand_at_target_load
 from ..sim.power_model import ServerPowerModel
 from ..traces.instance import InstanceRecord, ServiceKind
 from ..traces.series import PowerTrace
-from .runtime import FleetDescription
 
 
 def split_by_kind(

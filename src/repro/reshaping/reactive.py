@@ -1,11 +1,12 @@
 """Reactive server conversion — the control loop as production would run it.
 
-The vectorised :class:`ReshapingRuntime` decides each step's phase from the
-*current* demand value, which quietly grants the controller an oracle: real
-systems observe load with a lag, convert servers with a delay, and need
-hysteresis to avoid flapping.  This module implements that honest
-controller (Sec. 4.2's "during runtime, we continuously monitor the LC
-server load"):
+The engine's vectorised ``conversion`` scenario (a
+:class:`repro.engine.ScenarioSpec` with ``mode="conversion"``) decides each
+step's phase from the *current* demand value, which quietly grants the
+controller an oracle: real systems observe load with a lag, convert
+servers with a delay, and need hysteresis to avoid flapping.  This module
+implements that honest controller (Sec. 4.2's "during runtime, we
+continuously monitor the LC server load"):
 
 * phase detection from a trailing moving average of observed per-server
   load on the original fleet;
@@ -27,12 +28,12 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..engine.state import FleetDescription, ScenarioResult
 from ..sim.batch import batch_throughput
 from ..sim.demand import DemandTrace
 from ..sim.loadbalancer import dispatch
 from ..sim.power_model import DVFSModel
 from .conversion import ConversionPolicy
-from .runtime import FleetDescription, ScenarioResult
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,11 @@
-"""Shared fixtures: small grids, tiny fleets, and a demo datacenter."""
+"""Shared fixtures: small grids, tiny fleets, and a demo datacenter.
+
+Also the plain builders of the reference reshaping fleet and demand
+(``make_fleet`` / ``make_demand`` / ``make_runtime_parts``) that the
+scenario tests and the engine parity suite share; import them with
+``from tests.conftest import ...`` (the engine tests get them through
+``tests/engine/conftest.py``).
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,10 @@ import numpy as np
 import pytest
 
 from repro.datasets import build_datacenter, small_demo_spec
+from repro.engine import FleetDescription
 from repro.infra import build_topology, ocp_spec, two_level_spec
+from repro.reshaping import ConversionPolicy, ThrottleBoostPolicy
+from repro.sim import DemandTrace, DVFSModel, ServerPowerModel
 from repro.traces import (
     TimeGrid,
     TraceSynthesizer,
@@ -78,3 +88,38 @@ def demo_datacenter():
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+# ----------------------------------------------------------------------
+# the reference reshaping fleet (Sec. 4 scenario tests, engine parity)
+# ----------------------------------------------------------------------
+def make_grid():
+    return TimeGrid.for_days(2, step_minutes=60)
+
+
+def make_fleet(budget_watts=45_000.0):
+    return FleetDescription(
+        n_lc=100,
+        n_batch=40,
+        lc_model=ServerPowerModel(90, 240),
+        batch_model=ServerPowerModel(150, 235),
+        budget_watts=budget_watts,
+    )
+
+
+def make_demand(grid=None):
+    """Diurnal demand: peak per-server load 0.85 on the original fleet."""
+    grid = grid if grid is not None else make_grid()
+    hours = grid.hours_of_day()
+    shape = 0.35 + 0.5 * np.exp(2.0 * (np.cos(2 * np.pi * (hours - 14) / 24) - 1))
+    return DemandTrace(grid, shape * 100.0)
+
+
+def make_runtime_parts(budget_watts=45_000.0):
+    """(fleet, conversion, throttle, dvfs) for the reshaping fixtures."""
+    return (
+        make_fleet(budget_watts),
+        ConversionPolicy(conversion_threshold=0.85),
+        ThrottleBoostPolicy(),
+        DVFSModel(),
+    )

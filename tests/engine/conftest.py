@@ -1,56 +1,57 @@
 """Shared builders and fingerprint helpers for the engine parity suite.
 
-The golden-parity tests pin the engine's output to fingerprints captured
-from the pre-refactor runtimes (``tests/engine/golden.json``, produced by
-``tests/engine/_golden_gen.py``).  Equality is exact (``==`` on floats):
-the refactor moved code, it must not change a single bit of the results.
+The golden-parity tests pin the engine's output to fingerprints in
+``tests/engine/golden.json`` (produced by ``tests/engine/_golden_gen.py``).
+Equality is exact (``==`` on floats): a change that is not meant to alter
+results must not change a single bit of them.  The fleet and demand
+builders live in ``tests/conftest.py`` and are re-exported here for the
+engine tests' ``from conftest import ...``.
 """
 
 import numpy as np
 import pytest
 
-from repro.reshaping import (
-    ConversionPolicy,
-    FleetDescription,
-    ThrottleBoostPolicy,
+from repro.engine import Engine, ScenarioSpec
+from tests.conftest import (  # noqa: F401  (re-exported for the engine tests)
+    make_demand,
+    make_fleet,
+    make_grid,
+    make_runtime_parts,
 )
-from repro.sim import DemandTrace, DVFSModel, ServerPowerModel
-from repro.traces import TimeGrid
 
 #: The chaos-harness scale every engine test runs at (fast, deterministic).
 SMALL = dict(n_instances=96, step_minutes=60, weeks=2)
 
 
-def make_grid():
-    return TimeGrid.for_days(2, step_minutes=60)
+def reshaping_results():
+    """The four reshaping scenarios ``golden.json`` pins, via ``Engine.run``."""
+    fleet, conversion, throttle, dvfs = make_runtime_parts()
+    engine = Engine(fleet, conversion, throttle=throttle, dvfs=dvfs)
+    demand = make_demand()
 
+    def run(mode, demand, **kwargs):
+        spec = ScenarioSpec(
+            mode=mode,
+            fleet=fleet,
+            demand=demand,
+            conversion=conversion,
+            throttle=throttle,
+            dvfs=dvfs,
+            **kwargs,
+        )
+        return engine.run(spec).result
 
-def make_fleet(budget_watts=45_000.0):
-    return FleetDescription(
-        n_lc=100,
-        n_batch=40,
-        lc_model=ServerPowerModel(90, 240),
-        batch_model=ServerPowerModel(150, 235),
-        budget_watts=budget_watts,
-    )
-
-
-def make_demand(grid=None):
-    """Diurnal demand: peak per-server load 0.85 on the original fleet."""
-    grid = grid if grid is not None else make_grid()
-    hours = grid.hours_of_day()
-    shape = 0.35 + 0.5 * np.exp(2.0 * (np.cos(2 * np.pi * (hours - 14) / 24) - 1))
-    return DemandTrace(grid, shape * 100.0)
-
-
-def make_runtime_parts(budget_watts=45_000.0):
-    """(fleet, conversion, throttle, dvfs) for the reshaping fixtures."""
-    return (
-        make_fleet(budget_watts),
-        ConversionPolicy(conversion_threshold=0.85),
-        ThrottleBoostPolicy(),
-        DVFSModel(),
-    )
+    return {
+        "pre": run("pre", demand),
+        "lc_only": run("lc_only", demand.scaled(1.1), extra_servers=10),
+        "conversion": run("conversion", demand.scaled(1.1), extra_servers=10),
+        "throttle_boost": run(
+            "throttle_boost",
+            demand.scaled(1.15),
+            extra_servers=10,
+            extra_throttle_funded=5,
+        ),
+    }
 
 
 # ----------------------------------------------------------------------

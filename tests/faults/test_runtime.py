@@ -3,52 +3,45 @@
 import numpy as np
 import pytest
 
-from repro.faults import (
-    ChaosReshapingRuntime,
+from repro.engine import (
     ConversionFaultModel,
+    Engine,
     FailureEvent,
+    ScenarioSpec,
     ServerFailureSchedule,
+    execute,
 )
-from repro.reshaping import (
-    ConversionPolicy,
-    FleetDescription,
-    ReshapingRuntime,
-    ThrottleBoostPolicy,
-)
-from repro.sim import DemandTrace, DVFSModel, ServerPowerModel
-from repro.traces import TimeGrid
+from repro.reshaping import ConversionPolicy
+from tests.conftest import make_demand, make_fleet, make_grid, make_runtime_parts
 
 
 @pytest.fixture
 def grid():
-    return TimeGrid.for_days(2, step_minutes=60)
+    return make_grid()
 
 
 @pytest.fixture
 def demand(grid):
-    hours = grid.hours_of_day()
-    shape = 0.35 + 0.5 * np.exp(2.0 * (np.cos(2 * np.pi * (hours - 14) / 24) - 1))
-    return DemandTrace(grid, shape * 100.0)
+    return make_demand(grid)
 
 
-def make_fleet(budget_watts=45_000.0):
-    return FleetDescription(
-        n_lc=100,
-        n_batch=40,
-        lc_model=ServerPowerModel(90, 240),
-        batch_model=ServerPowerModel(150, 235),
-        budget_watts=budget_watts,
+def fault_spec(mode, demand, extra_servers, budget_watts=45_000.0, **faults):
+    """A ``mode`` spec on the reference fleet with the given fault models."""
+    fleet, conversion, throttle, dvfs = make_runtime_parts(budget_watts)
+    return ScenarioSpec(
+        mode=mode,
+        fleet=fleet,
+        demand=demand,
+        conversion=conversion,
+        throttle=throttle,
+        dvfs=dvfs,
+        extra_servers=extra_servers,
+        **faults,
     )
 
 
-def make_runtime(budget_watts=45_000.0, **kwargs):
-    return ChaosReshapingRuntime(
-        make_fleet(budget_watts),
-        ConversionPolicy(conversion_threshold=0.85),
-        throttle=ThrottleBoostPolicy(),
-        dvfs=DVFSModel(),
-        **kwargs,
-    )
+def run_chaos(mode, demand, extra_servers, **kwargs):
+    return execute(fault_spec(mode, demand, extra_servers, **kwargs)).result
 
 
 class TestFailureSchedule:
@@ -150,13 +143,21 @@ class TestConversionFaultModel:
 
 class TestChaosRuntimeParity:
     def test_defaults_reproduce_parent(self, demand):
-        """No faults + generous budget == the vanilla Sec. 4 runtime."""
+        """No faults + generous budget == the vanilla Sec. 4 conversion run."""
         fleet = make_fleet()
         policy = ConversionPolicy(conversion_threshold=0.85)
-        parent = ReshapingRuntime(fleet, policy)
-        chaos = ChaosReshapingRuntime(fleet, policy)
-        expected = parent.run_conversion(demand, 20)
-        result = chaos.run_conversion_chaos(demand, 20)
+
+        def spec(mode):
+            return ScenarioSpec(
+                mode=mode,
+                fleet=fleet,
+                demand=demand,
+                conversion=policy,
+                extra_servers=20,
+            )
+
+        expected = execute(spec("conversion")).result
+        result = execute(spec("conversion_chaos")).result
         assert not result.recovery.engaged
         np.testing.assert_allclose(
             result.scenario.total_power, expected.total_power
@@ -169,19 +170,21 @@ class TestChaosRuntimeParity:
                 FailureEvent(start_index=10, duration_samples=12, n_servers=40),
             )
         )
-        clean = make_runtime().run_conversion_chaos(demand, 10)
-        hurt = make_runtime(failures=big_outage).run_conversion_chaos(demand, 10)
+        clean = run_chaos("conversion_chaos", demand, 10)
+        hurt = run_chaos("conversion_chaos", demand, 10, failures=big_outage)
         assert (
             hurt.scenario.dropped_fraction() >= clean.scenario.dropped_fraction()
         )
         assert hurt.recovery.failure_downtime_server_steps == 40 * 12
 
     def test_flaky_conversions_logged(self, demand):
-        runtime = make_runtime(
+        result = run_chaos(
+            "conversion_chaos",
+            demand,
+            20,
             conversion_faults=ConversionFaultModel(latency_steps=2, failure_prob=0.3),
             seed=7,
         )
-        result = runtime.run_conversion_chaos(demand, 20)
         log = result.recovery.conversion_lc
         assert log is not None
         assert log.n_transitions > 0
@@ -189,8 +192,7 @@ class TestChaosRuntimeParity:
 
 class TestRecovery:
     def test_fallback_restores_power_safety(self, demand):
-        runtime = make_runtime(budget_watts=28_000.0)
-        result = runtime.run_conversion_chaos(demand, 10)
+        result = run_chaos("conversion_chaos", demand, 10, budget_watts=28_000.0)
         recovery = result.recovery
         assert recovery.engaged
         assert recovery.overload_steps_before > 0
@@ -203,13 +205,21 @@ class TestRecovery:
         assert result.raw.overload_steps() == recovery.overload_steps_before
 
     def test_no_engagement_under_budget(self, demand):
-        result = make_runtime().run_conversion_chaos(demand, 10)
+        result = run_chaos("conversion_chaos", demand, 10)
         assert not result.recovery.engaged
         assert result.scenario is result.raw
 
     def test_throttle_boost_chaos_recovered(self, demand):
-        result = make_runtime(budget_watts=28_000.0).run_throttle_boost_chaos(
-            demand, 10
+        result = run_chaos(
+            "throttle_boost_chaos", demand, 10, budget_watts=28_000.0
         )
         assert result.scenario.overload_steps() == 0
         assert result.power_safe()
+        # The chaos mode is the clean throttle/boost run routed through
+        # Engine.recover.
+        clean = fault_spec("throttle_boost", demand, 10, budget_watts=28_000.0)
+        recovered = Engine.from_spec(clean).recover(execute(clean).result)
+        assert np.array_equal(
+            recovered.scenario.total_power, result.scenario.total_power
+        )
+        assert recovered.recovery.engaged == result.recovery.engaged

@@ -11,6 +11,7 @@ from repro.infra import (
     compare_capping,
     two_level_spec,
 )
+from repro.obs import events
 from repro.traces import ServiceKind, TimeGrid, TraceSet
 
 
@@ -60,9 +61,13 @@ class TestSimulator:
         # Aggregate 20 W, budget 17 W: 3 W must go, batch can give up to
         # 6 W (floor 0.4), so LC is untouched.
         topo, assignment, traces, kinds = scene(grid, budget=17.0)
-        report = CappingSimulator(topo, assignment, traces, kinds).run()
+        with events.recording() as log:
+            report = CappingSimulator(topo, assignment, traces, kinds).run()
         assert report.batch_energy_shed > 0
         assert report.lc_energy_shed == 0.0
+        capping = log.by_kind(events.CAPPING)
+        assert capping
+        assert {event.source for event in capping} == {"engine.capping"}
 
     def test_lc_capped_when_batch_exhausted(self, grid):
         # Budget 12 W: 8 W must go; batch can shed 6 W, LC sheds the rest.

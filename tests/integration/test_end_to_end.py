@@ -11,10 +11,10 @@ from repro.core import (
     SmoothOperatorConfig,
     node_asynchrony_scores,
 )
+from repro.engine import ScenarioSpec, execute
 from repro.infra import BreakerModel, Level, NodePowerView, audit_view
 from repro.reshaping import (
     ConversionPolicy,
-    ReshapingRuntime,
     derive_demand,
     describe_fleet,
     learn_conversion_threshold,
@@ -138,14 +138,20 @@ class TestReshapingEndToEnd:
         fleet = describe_fleet(demo_datacenter.records, budget_watts=budget)
         training = derive_demand(demo_datacenter.records, use_test=False)
         threshold = learn_conversion_threshold(training, fleet.n_lc)
-        runtime = ReshapingRuntime(fleet, ConversionPolicy(threshold))
+        conversion = ConversionPolicy(threshold)
 
         extra = report.expansion.total_extra
         test_demand = derive_demand(demo_datacenter.records, use_test=True)
         grown = test_demand.scaled(1.0 + extra / fleet.n_lc)
 
-        pre = runtime.run_pre(test_demand)
-        conv = runtime.run_conversion(grown, extra)
+        def run(mode, demand, **kwargs):
+            spec = ScenarioSpec(
+                mode=mode, fleet=fleet, demand=demand, conversion=conversion, **kwargs
+            )
+            return execute(spec).result
+
+        pre = run("pre", test_demand)
+        conv = run("conversion", grown, extra_servers=extra)
         assert conv.lc_total() > pre.lc_total()
         assert conv.batch_total() >= pre.batch_total()
         assert conv.overload_steps() == 0

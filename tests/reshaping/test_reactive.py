@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.engine import FleetDescription, ScenarioSpec, execute
 from repro.reshaping import (
     ConversionPolicy,
-    FleetDescription,
     ReactiveConfig,
     ReactiveConversionRuntime,
-    ReshapingRuntime,
 )
 from repro.sim import DemandTrace, ServerPowerModel
 from repro.traces import TimeGrid
@@ -91,7 +90,15 @@ class TestReactiveRuntime:
 
     def test_close_to_oracle_on_diurnal_load(self, fleet, demand, policy):
         """The headline: predictable peaks make reactive ~ oracle."""
-        oracle = ReshapingRuntime(fleet, policy).run_conversion(demand, 12)
+        oracle = execute(
+            ScenarioSpec(
+                mode="conversion",
+                fleet=fleet,
+                demand=demand,
+                conversion=policy,
+                extra_servers=12,
+            )
+        ).result
         reactive = ReactiveConversionRuntime(fleet, policy).run_conversion(demand, 12)
         assert reactive.lc_total() >= oracle.lc_total() * 0.98
         assert reactive.batch_total() >= oracle.batch_total() * 0.90
