@@ -7,8 +7,13 @@ workload-size fields, plus the remapping loop's swap counters and the
 resulting peak-reduction numbers.  CI uploads the ``BENCH_*.json`` files as
 artifacts so the perf trajectory accrues per PR.
 
-The fleet size is small enough for CI (override with the
-``BENCH_PROFILE_INSTANCES`` environment variable).
+The default fleet (480 instances, a few seconds) is the size the
+committed documents were measured at; ``BENCH_PROFILE_INSTANCES``
+overrides it, and ``tools/bench_compare.py`` then reads the run as a
+workload ``mismatch`` against those baselines rather than diffing
+unlike runs.  The stage walls and per-level peak reductions are gated
+by the ``pipeline_wall`` and ``remap_peak_reduction`` rows of its
+``GATES`` table.
 """
 
 import os

@@ -9,8 +9,8 @@ Python-level per-instance objects — then times the fleet-wide stages:
   fleet (per-row peaks and the aggregate-trace peak);
 * ``score_serial`` — the float32 I-to-S score matrix in one process.
 
-``tools/bench_compare.py`` gates every stage wall against the committed
-baseline under the same tolerance as the pipeline profile.
+The ``scale_wall`` row of ``tools/bench_compare.py``'s ``GATES`` table
+gates every stage wall against the committed baseline.
 """
 
 import os

@@ -8,15 +8,22 @@ paper's qualitative shape (who wins, orderings, rough factors).
 Datacenters and placement studies are cached inside
 :mod:`repro.analysis.experiments`, so the first benchmark pays the build
 cost and the rest reuse it.
+
+``tools/`` goes on the import path so a benchmark that asserts a gated
+bound in-process reads it from ``bench_compare.GATES``, the one place the
+bound is written.
 """
 
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
 
 
 @pytest.fixture(scope="session")

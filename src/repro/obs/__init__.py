@@ -31,8 +31,9 @@ The substrate every perf-sensitive subsystem reports into:
   auto-written when ``REPRO_RUN_REPORT`` names a path.
 * :mod:`repro.obs.bench` — writes machine-readable ``BENCH_<name>.json``
   documents (stage timings, workload sizes, peak-reduction numbers) that
-  CI uploads so the perf trajectory accrues per PR;
-  ``tools/bench_compare.py`` gates regressions against them.
+  CI uploads so the perf trajectory accrues per change.  The documents hold
+  measurements only; ``tools/bench_compare.py`` judges them against the
+  committed baselines with the bounds in its ``GATES`` table.
 """
 
 from . import events, export, remote, report, telemetry

@@ -1,7 +1,8 @@
 """Unit tests for the spike-burst chaos scenarios (small scale).
 
-Quality numbers (≥80% violations avoided at ≤15% capacity overhead) are
-gated at reference scale by ``benchmarks/bench_robust.py``; here we pin
+Quality numbers (violations avoided, capacity overhead) are gated at
+reference scale by ``benchmarks/bench_robust.py`` against the
+``robust_*`` rows of ``tools/bench_compare.py``'s ``GATES``; here we pin
 the mechanics — scenario validation, burst determinism, the self-restoring
 budget audit, and the Γ=0 control taking identical damage on both sides.
 """
