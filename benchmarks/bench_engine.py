@@ -15,10 +15,10 @@ order rotated every round) so host drift lands on all of them alike:
 * ``capture`` — the pooled pass with worker-telemetry capture on against
   the same pass with ``REPRO_OBS_CAPTURE=0`` (the ``capture_overhead``
   gate);
-* ``recovery`` — the pooled pass under an armed (but never firing)
-  :class:`repro.engine.deadline.TaskDeadline` against the unguarded pass,
-  the failure-domain layer's fault-free cost (watchdog polling and
-  straggler bookkeeping; the ``recovery_overhead`` gate).
+* ``recovery`` — the pooled pass with a per-task timeout that never
+  fires (``run_many(..., timeout_s=120.0)``) against the pass without
+  one: the watchdog's fault-free cost, a bounded wait and its deadline
+  arithmetic (the ``recovery_overhead`` gate).
 
 Both gates need a multi-CPU host; their bounds live in ``GATES``.
 
@@ -31,7 +31,6 @@ Scale is deliberately small (override with ``BENCH_ENGINE_INSTANCES`` /
 speedup ratio, not the simulation itself.
 """
 
-import contextlib
 import os
 import statistics
 import time
@@ -42,7 +41,6 @@ from bench_compare import gate
 
 from repro import obs
 from repro.engine import chaos_spec, run_many, warm_pool
-from repro.engine.deadline import TaskDeadline, deadline_scope
 from repro.faults.harness import DEFAULT_SUITE
 
 N_INSTANCES = int(os.environ.get("BENCH_ENGINE_INSTANCES", "96"))
@@ -58,6 +56,9 @@ OVERHEAD_PASSES = 5
 #: The three pooled-pass variants the overhead sections compare.
 MODES = ("captured", "no_capture", "guarded")
 
+#: The ``guarded`` pass's per-task timeout: armed, but far above any task.
+GUARD_TIMEOUT_S = 120.0
+
 
 def _specs():
     return [
@@ -72,9 +73,9 @@ def _specs():
     ]
 
 
-def _timed(specs, workers):
+def _timed(specs, workers, timeout_s=None):
     start = time.perf_counter()
-    artifacts = run_many(specs, workers=workers)
+    artifacts = run_many(specs, workers=workers, timeout_s=timeout_s)
     return artifacts, time.perf_counter() - start
 
 
@@ -86,18 +87,15 @@ def _outcomes(artifacts):
     ]
 
 
-@contextlib.contextmanager
-def _mode(name):
-    """Run a pooled pass as ``name``: the default (telemetry captured),
-    with capture disabled, or under an armed, never-firing deadline."""
+def _pass(name, specs):
+    """One pooled pass as ``name``: the default (telemetry captured), with
+    capture disabled, or with an armed, never-firing per-task timeout."""
     if name == "no_capture":
         with mock.patch.dict(os.environ, {"REPRO_OBS_CAPTURE": "0"}):
-            yield
-    elif name == "guarded":
-        with deadline_scope(TaskDeadline(soft_timeout_s=60.0, hard_timeout_s=120.0)):
-            yield
-    else:
-        yield
+            return _timed(specs, WORKERS)
+    if name == "guarded":
+        return _timed(specs, WORKERS, timeout_s=GUARD_TIMEOUT_S)
+    return _timed(specs, WORKERS)
 
 
 def _overhead_walls(specs, expected):
@@ -106,8 +104,7 @@ def _overhead_walls(specs, expected):
     for round_index in range(OVERHEAD_PASSES):
         shift = round_index % len(MODES)
         for name in MODES[shift:] + MODES[:shift]:
-            with _mode(name):
-                artifacts, wall = _timed(specs, WORKERS)
+            artifacts, wall = _pass(name, specs)
             assert _outcomes(artifacts) == expected, name
             walls[name].append(wall)
     return {name: statistics.median(values) for name, values in walls.items()}

@@ -103,7 +103,7 @@ class DriftingFleet:
 
     * ``drift`` — service-level: the shared activity shape changes.  Note
       that a well-spread placement is largely *immune* to this: every node
-      holds the same service mix, so all nodes degrade alike and no swap
+      holds the same service mix, so all nodes drift alike and no swap
       can help (a genuine property, exercised by the tests).
     * ``personality_walk_hours`` / ``personality_walk_amplitude`` —
       instance-level random walks of each instance's phase offset and

@@ -174,16 +174,19 @@ def _chaos_specs(args: argparse.Namespace, scenarios=None) -> list:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> None:
-    from .engine import run_many
+    from .engine import RunFailure, run_many
     from .faults import format_chaos_table
 
     specs = _chaos_specs(args)
-    outcomes = [
-        artifacts.result
-        for artifacts in run_many(specs, workers=args.workers)
-    ]
+    entries = run_many(specs, workers=args.workers, timeout_s=args.task_timeout)
+    outcomes = [e.result for e in entries if not isinstance(e, RunFailure)]
     print(format_chaos_table(outcomes))
     failed = [o.scenario.name for o in outcomes if not o.passed]
+    for entry in entries:
+        if isinstance(entry, RunFailure):
+            name = entry.spec.resolved_scenario().name
+            print(f"\n{name}: did not run ({entry.error_type}: {entry.error})")
+            failed.append(name)
     if failed:
         print(f"\nFAILED scenarios: {', '.join(failed)}")
         raise SystemExit(1)
@@ -429,7 +432,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
         specs = _chaos_specs(args)
         workers = max(2, args.workers)
         with obs.tracing():
-            run_many(specs, workers=workers)
+            run_many(specs, workers=workers, timeout_s=args.task_timeout)
             report = obs.build_report()
         if args.report:
             path = pathlib.Path(args.report)
@@ -519,9 +522,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="S",
         help=(
-            "hard per-task deadline in seconds for pooled runs: hung "
-            "workers are killed and the task retried; a soft (straggler) "
-            "threshold of a quarter of this is set alongside"
+            "per-task timeout in seconds for the chaos and report "
+            "commands, counted from submission: past it the worker pool "
+            "is killed and the task retried; a timed batch always runs on "
+            "a worker pool"
         ),
     )
     parser.add_argument(
@@ -550,17 +554,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in sorted(_COMMANDS):
             print(name)
         return 0
-    if args.task_timeout is not None:
-        from .engine.deadline import TaskDeadline, set_default_deadline
-
-        if args.task_timeout <= 0:
-            parser.error("--task-timeout must be positive")
-        set_default_deadline(
-            TaskDeadline(
-                hard_timeout_s=args.task_timeout,
-                soft_timeout_s=args.task_timeout / 4,
-            )
-        )
+    if args.task_timeout is not None and args.task_timeout <= 0:
+        parser.error("--task-timeout must be positive")
     _COMMANDS[args.command](args)
     return 0
 

@@ -1,6 +1,6 @@
 """Incremental placement adaptation via differential-score swaps (Sec. 3.6).
 
-Mid/long-term workload drift slowly degrades a placement.  Rather than
+Mid/long-term workload drift slowly erodes a placement.  Rather than
 re-running the full placer, SmoothOperator identifies the most fragmented
 power node (lowest asynchrony score), finds its worst-fitting instance (the
 lowest *differential asynchrony score*, Sec. 3.6), and swaps it with an

@@ -61,21 +61,10 @@ from .spec import (  # noqa: F401
     build_pipeline,
     chaos_spec,
 )
-from .chaos_infra import (  # noqa: F401
-    InfraFault,
-    InjectedFault,
-)
-from .deadline import (  # noqa: F401
-    TaskDeadline,
-    TaskTimeoutError,
-    clear_default_deadline,
-    deadline_scope,
-    get_default_deadline,
-    set_default_deadline,
-)
 from .core import Engine  # noqa: F401
 from .parallel import (  # noqa: F401
     RunFailure,
+    TaskTimeoutError,
     WorkerPool,
     execute,
     get_pool,
@@ -103,8 +92,6 @@ __all__ = [
     "FleetDelta",
     "FleetDescription",
     "FleetState",
-    "InfraFault",
-    "InjectedFault",
     "LC_POOL",
     "MODES",
     "Move",
@@ -123,21 +110,16 @@ __all__ = [
     "ServerFailureSchedule",
     "SpikeEvent",
     "StaticFleetPolicy",
-    "TaskDeadline",
     "TaskTimeoutError",
     "ThrottleBoostPlan",
     "WorkerPool",
     "build_pipeline",
     "chaos_spec",
-    "clear_default_deadline",
     "compare_capping",
-    "deadline_scope",
     "dirty_nodes",
     "execute",
-    "get_default_deadline",
     "get_pool",
     "run_many",
-    "set_default_deadline",
     "shutdown_pools",
     "warm_pool",
 ]

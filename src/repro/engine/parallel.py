@@ -23,23 +23,17 @@ synchronize — up to ``max_attempts`` tries per spec; the backoff sleep only
 ever runs when another attempt follows — a spec out of attempts fails
 immediately as a :class:`RunFailure` in its slot of the result list.
 ``workers <= 1`` or a single spec short-circuits to a plain serial loop
-that never touches a pool.
+that never touches a pool, unless ``timeout_s`` is set: only a worker can
+be killed, so a timed batch always runs pooled.
 
-Worker *hangs* do not sink a suite either.  When a
-:class:`~repro.engine.deadline.TaskDeadline` is in force (per-call
-``deadline=``, the process default installed by
-:func:`repro.engine.deadline.set_default_deadline`, or the
-``REPRO_TASK_TIMEOUT`` environment variable) the dispatch loop becomes a
-watchdog: it polls instead of blocking, SIGKILLs the pool when a task
-exceeds its hard deadline (a hung worker never honours a graceful
-shutdown) and retries on a rebuilt executor, speculatively re-dispatches
-stragglers past a quantile-derived threshold (first result wins, results
-stay bit-identical), quarantines a spec whose attempts keep taking
-workers down to in-process serial execution, and degrades the whole batch
-to serial when a circuit breaker trips on the batch-wide infrastructure
-failure rate.  With no deadline configured none of this machinery runs —
-the dispatch loop blocks exactly as before.  Deterministic infrastructure
-faults for exercising all of it live in :mod:`repro.engine.chaos_infra`.
+A worker *hang* does not sink a suite either.  With ``timeout_s`` set, the
+dispatch loop blocks only until the earliest outstanding task's deadline;
+a task still pending then gets the whole pool SIGKILLed (a hung worker
+never honours a graceful shutdown), fails that attempt with
+:class:`TaskTimeoutError`, and retries on a rebuilt executor like any
+other casualty.  Every attempt of a pooled batch runs in a worker process:
+the coordinator never executes a spec itself, so no failure a spec causes
+can hang or kill the calling process.
 
 The pool is not an observability boundary: unless ``REPRO_OBS_CAPTURE=0``
 disables it, every pooled task runs under worker-side telemetry capture
@@ -47,8 +41,8 @@ disables it, every pooled task runs under worker-side telemetry capture
 back with its result; the coordinator merges them into its live tracer,
 registry, and event log, records pool health metrics (dispatch/completion
 counters, roundtrip/execution/queue latency histograms, worker deaths and
-rebuilds, timeouts, speculation outcomes, quarantines), and feeds each
-batch into the unified run report (:mod:`repro.obs.report`).
+rebuilds, timeouts), and feeds each batch into the unified run report
+(:mod:`repro.obs.report`).
 """
 
 from __future__ import annotations
@@ -62,9 +56,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from . import chaos_infra
-from . import deadline as deadline_mod
-from .deadline import TaskDeadline, TaskTimeoutError
 from .spec import ChaosSpec, ScenarioSpec
 from .state import RunArtifacts
 
@@ -96,6 +87,28 @@ WORKER_THREAD_ENV_VARS = (
 )
 
 
+class TaskTimeoutError(RuntimeError):
+    """A pooled task exceeded its hard deadline and was killed.
+
+    Raised coordinator-side by the watchdog (the hung worker never raises
+    anything — it is SIGKILLed), so it carries the dispatch context the
+    worker could not report: the stage label, the shard id, which attempt
+    timed out, and the deadline that was missed.
+    """
+
+    def __init__(
+        self, label: str, shard_id: int, attempt: int, timeout_s: float
+    ) -> None:
+        super().__init__(
+            f"task {label!r} shard {shard_id} attempt {attempt} exceeded "
+            f"its hard deadline of {timeout_s:g}s"
+        )
+        self.label = label
+        self.shard_id = shard_id
+        self.attempt = attempt
+        self.timeout_s = timeout_s
+
+
 @dataclass
 class RunFailure:
     """One spec's structured failure after every retry was exhausted.
@@ -121,8 +134,8 @@ def execute(spec: Any) -> RunArtifacts:
     """Run one spec (scenario, chaos-harness, or callable) and wrap it.
 
     Module-level so it pickles for worker processes.  Zero-argument
-    callables are the escape hatch for custom workloads (and for
-    fault-injection tests): the callable runs as-is, and its return value
+    callables are the escape hatch for custom workloads (and for the
+    pool's fault tests): the callable runs as-is, and its return value
     is wrapped in :class:`RunArtifacts` unless it already is one.
     """
     if isinstance(spec, ScenarioSpec):
@@ -168,16 +181,9 @@ def _init_worker(n_threads: int) -> None:
     pools to shrink via ``threadpoolctl`` when that package is available
     (forked workers inherit the parent's BLAS state, which env vars alone
     cannot retroactively change).
-
-    Also arms the infrastructure fault injectors when the
-    ``REPRO_INFRA_FAULTS`` environment variable is set — faults fire only
-    in processes that ran this initializer, so the coordinator (and any
-    quarantined/degraded serial execution it performs) stays fault-free.
     """
     for name in WORKER_THREAD_ENV_VARS:
         os.environ[name] = str(n_threads)
-    if os.environ.get(chaos_infra.FAULTS_ENV):
-        chaos_infra.activate()
     try:  # best-effort: not a baked-in dependency
         import threadpoolctl
 
@@ -201,27 +207,21 @@ def _execute_logged(spec: Any) -> RunArtifacts:
         return execute(spec)
 
 
-def _pool_task(spec: Any, index: int, attempt: int, capture: bool, faults: bool):
-    """The worker-side task: run one spec, optionally faulted and captured.
+def _pool_task(spec: Any, index: int, attempt: int, capture: bool):
+    """The worker-side task: run one spec, optionally captured.
 
-    With ``faults`` the armed infra fault injectors
-    (:func:`repro.engine.chaos_infra.call_with_faults`) fire first.  With
-    ``capture`` the whole call runs under
+    With ``capture`` the call runs under
     :func:`repro.obs.remote.run_captured` and the worker ships
-    ``(artifacts, bundle)``; the injector runs *inside* the capture, so an
-    injected event or exception ships its telemetry like a real one.  The
-    capture installs a fresh per-task event log itself, so a captured
-    spec calls :func:`execute` directly — nesting another recording
-    inside it would swallow the spec's events before the bundle shipped.
+    ``(artifacts, bundle)``.  The capture installs a fresh per-task event
+    log itself, so a captured spec calls :func:`execute` directly —
+    nesting another recording inside it would swallow the spec's events
+    before the bundle shipped.
     """
-    fn, args = (execute if capture else _execute_logged), (spec,)
-    if faults:
-        fn, args = chaos_infra.call_with_faults, (fn, index, attempt, spec)
     if not capture:
-        return fn(*args)
+        return _execute_logged(spec)
     from ..obs import remote as obs_remote
 
-    return obs_remote.run_captured(fn, index, "run.spec", attempt, args)
+    return obs_remote.run_captured(execute, index, "run.spec", attempt, (spec,))
 
 
 def _bundle_stats(bundle: Any, roundtrip_s: float, *, ok: bool = True):
@@ -398,7 +398,7 @@ class WorkerPool:
 
         :meth:`rebuild`'s graceful ``shutdown(wait=True)`` joins the
         workers — which never returns when one of them is *hung* rather
-        than dead.  The deadline watchdog therefore uses this path: kill
+        than dead.  The timeout watchdog therefore uses this path: kill
         every worker process outright, then tear the executor down without
         waiting on anything.  The next submit re-forks as usual.
         """
@@ -432,32 +432,16 @@ class _StageDriver:
     One instance drives one batch: it owns the per-spec attempt counts,
     the retry rounds (with decorrelated-jitter backoff and one-at-a-time
     isolation after an executor break), the telemetry bookkeeping, and —
-    when a :class:`~repro.engine.deadline.TaskDeadline` is in force — the
-    four failure domains:
-
-    * **watchdog** — the wait loop polls at ``poll_interval_s``; a task
-      older than ``hard_timeout_s`` gets the whole pool SIGKILLed (a hung
-      worker never honours a graceful shutdown), fails with
-      :class:`TaskTimeoutError`, and retries on a rebuilt executor.  Tasks
-      that were merely in flight on the killed pool fail too, but their
-      failure is collateral: it burns an attempt (as any executor break
-      does) without counting toward quarantine.
-    * **speculation** — a task older than the straggler threshold (the
-      live ``pool.task_exec_s`` quantile scaled by ``straggler_factor``,
-      floored at ``soft_timeout_s``) gets one duplicate dispatched at the
-      same attempt number.  First result wins: the loser's result and
-      bundle are dropped, so merged telemetry and results are identical to
-      an unspeculated run.
-    * **quarantine** — a task whose attempts have taken workers down
-      ``quarantine_after`` times (deaths or hard timeouts) runs in-process
-      serially from then on, where it cannot condemn the pool again.
-    * **circuit breaker** — when infrastructure failures reach both
-      ``degrade_min_failures`` and ``degrade_failure_ratio`` of dispatches,
-      the whole batch degrades to in-process serial execution.
+    when ``timeout_s`` is set — the watchdog.  The wait blocks until the
+    earliest outstanding task's deadline (unbounded without a timeout); a
+    task still pending then gets the whole pool SIGKILLed, fails with
+    :class:`TaskTimeoutError`, and retries on a rebuilt executor.  Tasks
+    that were merely in flight on the killed pool fail too and burn an
+    attempt, as they would in any executor break.
 
     A spec that exhausts its attempts holds a :class:`RunFailure` in its
-    result slot.  With ``deadline=None`` the wait loop blocks unbounded
-    and none of the failure-domain machinery runs.
+    result slot.  Every attempt runs in a worker: the coordinator never
+    executes a spec itself.
     """
 
     label = "run.many"
@@ -470,24 +454,18 @@ class _StageDriver:
         do_capture: bool,
         max_attempts: int,
         retry_backoff_s: float,
-        deadline: Optional[TaskDeadline],
+        timeout_s: Optional[float],
     ) -> None:
         self.pool = pool
         self.specs = specs
         self.do_capture = do_capture
-        self.faults_on = chaos_infra.configured()
         self.max_attempts = max_attempts
-        self.deadline = deadline
+        self.timeout_s = timeout_s
 
         n_tasks = len(specs)
         self.results: List[Any] = [None] * n_tasks
         self.attempts = [0] * n_tasks
         self.failed: List[int] = []
-        self.infra_failures = [0] * n_tasks
-        self.infra_failures_total = 0
-        self.dispatched_total = 0
-        self.quarantined: Set[int] = set()
-        self.degraded = False
         self.bundles: List[Any] = []
         self.stats: List[Any] = []
         self.started_at = time.perf_counter()
@@ -500,25 +478,12 @@ class _StageDriver:
         isolate = False
         while pending:
             self.failed = []
-            self._maybe_degrade()
-            inline = [
-                index
-                for index in pending
-                if self.degraded or index in self.quarantined
-            ]
-            pooled = [index for index in pending if index not in set(inline)]
-            for index in inline:
-                self._run_one_inline(index)
+            # After a round in which the executor died, retry the survivors
+            # one at a time: a repeat killer then only breaks its own
+            # attempt, so an innocent task can lose at most one attempt as
+            # collateral however persistent the killer is.
+            groups = [[index] for index in pending] if isolate else [pending]
             round_broken = False
-            # After a round in which the executor died, retry the pooled
-            # survivors one at a time: a repeat killer then only breaks its
-            # own attempt, so an innocent task can lose at most one attempt
-            # as collateral however persistent the killer is.
-            groups = (
-                [[index] for index in pooled]
-                if isolate
-                else ([pooled] if pooled else [])
-            )
             for group in groups:
                 round_broken = self._run_group(group, round_index) or round_broken
             isolate = round_broken
@@ -555,27 +520,6 @@ class _StageDriver:
         )
 
     # ------------------------------------------------------------------
-    def _run_one_inline(self, index: int) -> None:
-        """One quarantined/degraded task, in-process and serial."""
-        from ..obs import metrics as obs_metrics
-
-        self.attempts[index] += 1
-        if self.do_capture:
-            obs_metrics.count("pool.tasks_inline")
-        try:
-            self.results[index] = execute(self.specs[index])
-        except Exception as error:  # noqa: BLE001
-            self._note_failure(index, error)
-            if self.do_capture:
-                obs_metrics.count("pool.tasks_failed")
-
-    def _note_failure(self, index: int, error: BaseException) -> None:
-        """Mark ``index`` for retry and hold its failure in the result slot."""
-        self.failed.append(index)
-        self.results[index] = _failure(
-            self.specs[index], error, self.attempts[index]
-        )
-
     def _run_group(self, group: List[int], round_index: int) -> bool:
         """Dispatch one group of pooled tasks and settle every one of them.
 
@@ -584,71 +528,42 @@ class _StageDriver:
         """
         from ..obs import metrics as obs_metrics
 
-        future_of: Dict[Any, int] = {}
-        dispatched_at: Dict[Any, float] = {}
-        attempt_of: Dict[Any, int] = {}
-        inflight: Dict[int, Set[Any]] = {index: set() for index in group}
-        spec_futures: Set[Any] = set()
-        resolved: Set[int] = set()
-        speculated: Set[int] = set()
-        broken = False
-
         def on_submit_rebuild() -> None:
             if self.do_capture:
                 obs_metrics.count("pool.worker_deaths")
                 obs_metrics.count("pool.rebuilds")
 
-        def dispatch(index: int, *, speculative: bool = False):
-            # A speculative twin is a *new dispatch* of the same logical
-            # attempt: it carries the next attempt number (so per-dispatch
-            # machinery — telemetry labels, deterministic fault injection —
-            # sees a fresh execution, not a replay of the straggling one)
-            # but does not consume a slot of the task's retry budget.
-            attempt = self.attempts[index] + (1 if speculative else 0)
+        future_of: Dict[Any, int] = {}
+        dispatched_at: Dict[Any, float] = {}
+        for index in group:
+            self.attempts[index] += 1
             future = self.pool.submit_resilient(
                 _pool_task,
                 self.specs[index],
                 index,
-                attempt,
+                self.attempts[index],
                 self.do_capture,
-                self.faults_on,
                 on_rebuild=on_submit_rebuild,
             )
             future_of[future] = index
             dispatched_at[future] = time.perf_counter()
-            attempt_of[future] = attempt
-            inflight[index].add(future)
-            self.dispatched_total += 1
-            if speculative:
-                spec_futures.add(future)
-            return future
-
-        for index in group:
-            self.attempts[index] += 1
-            dispatch(index)
         if self.do_capture:
             obs_metrics.count("pool.tasks_dispatched", len(group))
             if round_index > 0:
                 obs_metrics.count("pool.tasks_retried", len(group))
 
-        deadline = self.deadline
-        watch = deadline is not None and deadline.watches
+        broken = False
         outstanding = set(future_of)
         while outstanding:
+            timeout = None
+            if self.timeout_s is not None:
+                earliest = min(dispatched_at[future] for future in outstanding)
+                timeout = max(0.0, earliest + self.timeout_s - time.perf_counter())
             done, outstanding = wait(
-                outstanding,
-                timeout=deadline.poll_interval_s if watch else None,
-                return_when=FIRST_COMPLETED,
+                outstanding, timeout=timeout, return_when=FIRST_COMPLETED
             )
             for future in done:
                 index = future_of[future]
-                inflight[index].discard(future)
-                if index in resolved:
-                    # A speculation race this index already won (or a
-                    # watchdog kill already settled): drop the late copy.
-                    if self.do_capture:
-                        obs_metrics.count("pool.speculative_losses")
-                    continue
                 try:
                     outcome = future.result()
                 except BaseException as error:  # noqa: BLE001
@@ -657,59 +572,17 @@ class _StageDriver:
                     # the retry rounds sort survivors out.  A captured
                     # failure still ships its telemetry, attached to the
                     # exception itself.
-                    if _pool_is_broken(error):
-                        # One dead worker breaks the executor for *every*
-                        # in-flight future, so charge the stage-wide breaker
-                        # once per break, not once per collateral victim —
-                        # else a single death in a wide stage masquerades as
-                        # a stage-wide failure wave.  Per-index counts still
-                        # accrue for quarantine.
-                        self._note_infra_failure(
-                            index, charge_stage=not broken
-                        )
-                        broken = True
-                    if inflight[index]:
-                        # A speculative twin of this task is still
-                        # unsettled; let its outcome decide the index.
-                        continue
+                    broken = broken or _pool_is_broken(error)
                     self._record_failure(index, error, dispatched_at[future])
-                    resolved.add(index)
                     continue
-                self._record_success(
-                    index,
-                    outcome,
-                    dispatched_at[future],
-                    speculative_win=future in spec_futures,
-                )
-                resolved.add(index)
-            if outstanding and resolved.issuperset(group):
-                # Every index is settled; only speculation losers remain in
-                # flight.  Abandon them — their results would be discarded
-                # anyway, and holding the stage on a straggler is exactly
-                # what speculation exists to avoid.  (The workers running
-                # them finish in the background and the executor drops the
-                # results.)
-                if self.do_capture:
-                    obs_metrics.count(
-                        "pool.speculative_losses", len(outstanding)
-                    )
-                outstanding.clear()
-                continue
-            if watch and outstanding:
-                now = time.perf_counter()
-                if self._enforce_hard_deadline(
-                    now, outstanding, future_of, dispatched_at, attempt_of,
-                    resolved,
-                ):
-                    # The pool is dead; every unresolved index has been
-                    # failed.  Nothing outstanding can ever be collected.
-                    outstanding.clear()
-                    broken = True
-                    continue
-                self._maybe_speculate(
-                    now, outstanding, future_of, dispatched_at, inflight,
-                    resolved, speculated, dispatch,
-                )
+                self._record_success(index, outcome, dispatched_at[future])
+            if outstanding and self._kill_overdue(
+                outstanding, future_of, dispatched_at
+            ):
+                # The pool is dead and every outstanding task has been
+                # failed; nothing left can ever be collected.
+                outstanding = set()
+                broken = True
             # No early exit on ``broken``: a dead executor resolves every
             # future it still holds (with BrokenProcessPool), and futures
             # resubmitted on a fresh executor mid-round finish normally —
@@ -722,239 +595,105 @@ class _StageDriver:
 
     # ------------------------------------------------------------------
     def _record_success(
-        self,
-        index: int,
-        outcome: Any,
-        dispatched_time: float,
-        *,
-        speculative_win: bool = False,
+        self, index: int, outcome: Any, dispatched_time: float
     ) -> None:
         from ..obs import metrics as obs_metrics
 
-        if self.do_capture:
-            result, bundle = outcome
-            self.results[index] = result
-            roundtrip_s = time.perf_counter() - dispatched_time
-            self.bundles.append(bundle)
-            self.stats.append(_bundle_stats(bundle, roundtrip_s))
-            obs_metrics.count("pool.tasks_completed")
-            obs_metrics.observe("pool.task_roundtrip_s", roundtrip_s)
-            obs_metrics.observe("pool.task_exec_s", bundle.wall_s)
-            obs_metrics.observe(
-                "pool.task_queue_s", max(0.0, roundtrip_s - bundle.wall_s)
-            )
-            if speculative_win:
-                obs_metrics.count("pool.speculative_wins")
-        else:
+        if not self.do_capture:
             self.results[index] = outcome
+            return
+        result, bundle = outcome
+        self.results[index] = result
+        roundtrip_s = time.perf_counter() - dispatched_time
+        self.bundles.append(bundle)
+        self.stats.append(_bundle_stats(bundle, roundtrip_s))
+        obs_metrics.count("pool.tasks_completed")
+        obs_metrics.observe("pool.task_roundtrip_s", roundtrip_s)
+        obs_metrics.observe("pool.task_exec_s", bundle.wall_s)
+        obs_metrics.observe(
+            "pool.task_queue_s", max(0.0, roundtrip_s - bundle.wall_s)
+        )
 
     def _record_failure(
         self, index: int, error: BaseException, dispatched_time: float
     ) -> None:
+        """Mark ``index`` for retry and hold its failure in the result slot."""
         from ..obs import metrics as obs_metrics
         from ..obs import remote as obs_remote
 
-        self._note_failure(index, error)
-        if self.do_capture:
-            obs_metrics.count("pool.tasks_failed")
-            bundle = obs_remote.bundle_from_error(error)
-            if bundle is not None:
-                self.bundles.append(bundle)
-                self.stats.append(
-                    _bundle_stats(
-                        bundle,
-                        time.perf_counter() - dispatched_time,
-                        ok=False,
-                    )
+        self.failed.append(index)
+        self.results[index] = _failure(
+            self.specs[index], error, self.attempts[index]
+        )
+        if not self.do_capture:
+            return
+        obs_metrics.count("pool.tasks_failed")
+        bundle = obs_remote.bundle_from_error(error)
+        if bundle is not None:
+            self.bundles.append(bundle)
+            self.stats.append(
+                _bundle_stats(
+                    bundle, time.perf_counter() - dispatched_time, ok=False
                 )
+            )
 
-    def _note_infra_failure(self, index: int, *, charge_stage: bool = True) -> None:
-        """An attempt of ``index`` took infrastructure down with it.
-
-        ``charge_stage=False`` records the per-index failure (quarantine
-        accounting) without incrementing the stage-wide breaker total —
-        used for the collateral victims of a pool break that has already
-        been charged once.
-        """
-        from ..obs import events as obs_events
-        from ..obs import metrics as obs_metrics
-
-        self.infra_failures[index] += 1
-        if charge_stage:
-            self.infra_failures_total += 1
-        deadline = self.deadline
-        if (
-            deadline is None
-            or deadline.quarantine_after < 1
-            or index in self.quarantined
-            or self.infra_failures[index] < deadline.quarantine_after
-        ):
-            return
-        self.quarantined.add(index)
-        if self.do_capture:
-            obs_metrics.count("pool.quarantined_shards")
-        obs_events.emit(
-            obs_events.SHARD_QUARANTINE,
-            severity="warning",
-            source=self.label,
-            shard=index,
-            infra_failures=self.infra_failures[index],
-        )
-
-    def _maybe_degrade(self) -> None:
-        """Trip the stage-wide circuit breaker when failure rates warrant."""
-        from ..obs import events as obs_events
-        from ..obs import metrics as obs_metrics
-
-        deadline = self.deadline
-        if self.degraded or deadline is None or deadline.degrade_min_failures < 1:
-            return
-        if self.infra_failures_total < deadline.degrade_min_failures:
-            return
-        ratio = self.infra_failures_total / max(1, self.dispatched_total)
-        if ratio < deadline.degrade_failure_ratio:
-            return
-        self.degraded = True
-        if self.do_capture:
-            obs_metrics.count("pool.degraded")
-        obs_events.emit(
-            obs_events.POOL_DEGRADED,
-            severity="critical",
-            source=self.label,
-            infra_failures=self.infra_failures_total,
-            dispatched=self.dispatched_total,
-            failure_ratio=round(ratio, 4),
-        )
-
-    def _enforce_hard_deadline(
+    def _kill_overdue(
         self,
-        now: float,
         outstanding: Set[Any],
         future_of: Dict[Any, int],
         dispatched_at: Dict[Any, float],
-        attempt_of: Dict[Any, int],
-        resolved: Set[int],
     ) -> bool:
-        """Kill the pool when any task has blown its hard deadline.
+        """Kill the pool when any outstanding task has blown ``timeout_s``.
 
         ``ProcessPoolExecutor`` offers no per-task cancellation once a task
         is on a worker, and a *hung* worker never honours a graceful
         shutdown — so enforcement is pool-wide: SIGKILL every worker, fail
-        the overdue tasks with :class:`TaskTimeoutError` (these count
-        toward quarantine), and fail the innocents that were merely in
-        flight with a collateral error (these do not).  All of them retry
-        on the rebuilt executor, subject to their remaining attempts.
-        Returns whether enforcement happened.
+        the overdue tasks with :class:`TaskTimeoutError`, and fail the
+        innocents that were merely in flight with a collateral error.  All
+        of them retry on the rebuilt executor, subject to their remaining
+        attempts.  Returns whether the pool was killed.
         """
         from ..obs import events as obs_events
         from ..obs import metrics as obs_metrics
 
-        hard = self.deadline.hard_timeout_s
-        if hard is None:
+        if self.timeout_s is None:
             return False
-        overdue: Dict[int, Any] = {}
-        for future in outstanding:
-            index = future_of[future]
-            if index in resolved or index in overdue:
-                continue
-            if now - dispatched_at[future] > hard:
-                overdue[index] = future
+        now = time.perf_counter()
+        in_order = sorted(outstanding, key=future_of.__getitem__)
+        overdue = {
+            future
+            for future in in_order
+            if now - dispatched_at[future] >= self.timeout_s
+        }
         if not overdue:
             return False
-        for index in sorted(overdue):
-            future = overdue[index]
-            error = TaskTimeoutError(
-                self.label, index, attempt_of[future], hard
-            )
-            if self.do_capture:
-                obs_metrics.count("pool.task_timeouts")
-            obs_events.emit(
-                obs_events.TASK_TIMEOUT,
-                severity="critical",
-                source=self.label,
-                shard=index,
-                attempt=attempt_of[future],
-                timeout_s=hard,
-            )
-            self._note_infra_failure(index)
-            self._record_failure(index, error, dispatched_at[future])
-            resolved.add(index)
-        for future in sorted(
-            outstanding, key=lambda f: (future_of[f], dispatched_at[f])
-        ):
+        for future in in_order:
             index = future_of[future]
-            if index in resolved:
-                continue
-            error = RuntimeError(
-                f"task {self.label!r} shard {index} was in flight when the "
-                f"deadline watchdog killed the worker pool"
-            )
+            if future in overdue:
+                error: BaseException = TaskTimeoutError(
+                    self.label, index, self.attempts[index], self.timeout_s
+                )
+                if self.do_capture:
+                    obs_metrics.count("pool.task_timeouts")
+                obs_events.emit(
+                    obs_events.TASK_TIMEOUT,
+                    severity="critical",
+                    source=self.label,
+                    shard=index,
+                    attempt=self.attempts[index],
+                    timeout_s=self.timeout_s,
+                )
+            else:
+                error = RuntimeError(
+                    f"task {self.label!r} shard {index} was in flight when "
+                    f"the timeout watchdog killed the worker pool"
+                )
             self._record_failure(index, error, dispatched_at[future])
-            resolved.add(index)
         self.pool.kill()
         if self.do_capture:
             obs_metrics.count("pool.worker_deaths")
             obs_metrics.count("pool.rebuilds")
         return True
-
-    def _maybe_speculate(
-        self,
-        now: float,
-        outstanding: Set[Any],
-        future_of: Dict[Any, int],
-        dispatched_at: Dict[Any, float],
-        inflight: Dict[int, Set[Any]],
-        resolved: Set[int],
-        speculated: Set[int],
-        dispatch: Callable[..., Any],
-    ) -> None:
-        """Dispatch one speculative twin per straggling task.
-
-        The twin runs the same attempt number — it is a duplicate of the
-        attempt, not a new one — and whichever copy finishes first settles
-        the index; the loser is dropped entirely (result and telemetry
-        bundle), so speculation can never change results or merged state.
-        """
-        from ..obs import events as obs_events
-        from ..obs import metrics as obs_metrics
-
-        deadline = self.deadline
-        if not deadline.speculative:
-            return
-        histogram = None
-        if self.do_capture:
-            histogram = obs_metrics.global_registry().histograms.get(
-                "pool.task_exec_s"
-            )
-        threshold = deadline.straggler_threshold_s(histogram)
-        if threshold is None:
-            return
-        for future in sorted(
-            outstanding, key=lambda f: (future_of[f], dispatched_at[f])
-        ):
-            index = future_of[future]
-            if (
-                index in resolved
-                or index in speculated
-                or index in self.quarantined
-                or len(inflight[index]) > 1
-            ):
-                continue
-            if now - dispatched_at[future] <= threshold:
-                continue
-            speculated.add(index)
-            if self.do_capture:
-                obs_metrics.count("pool.speculative_dispatched")
-            obs_events.emit(
-                obs_events.SPECULATIVE_DISPATCH,
-                severity="info",
-                source=self.label,
-                shard=index,
-                attempt=self.attempts[index],
-                age_s=round(now - dispatched_at[future], 4),
-                threshold_s=round(threshold, 4),
-            )
-            outstanding.add(dispatch(index, speculative=True))
 
 
 # ----------------------------------------------------------------------
@@ -1007,16 +746,16 @@ def run_many(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
     pool: Optional[WorkerPool] = None,
-    deadline: Optional[TaskDeadline] = None,
+    timeout_s: Optional[float] = None,
 ) -> List[Any]:
     """Execute many specs, optionally across persistent worker processes.
 
     Results come back in spec order, one entry per spec: a
     :class:`RunArtifacts` on success, a :class:`RunFailure` once a spec has
     failed ``max_attempts`` times.  ``workers <= 1`` — or a batch of one —
-    short-circuits to a serial loop in this process that creates no pool at
-    all (cheapest for small batches and the only option on single-CPU
-    hosts); otherwise the batch runs on the process-wide persistent pool
+    short-circuits (when no ``timeout_s`` is set) to a serial loop in this
+    process that creates no pool at all (cheapest for small batches and the
+    only option on single-CPU hosts); otherwise the batch runs on the process-wide persistent pool
     for ``workers`` (or the explicit ``pool``), spawning workers only on
     first use.
 
@@ -1032,14 +771,14 @@ def run_many(
     an attempt.  The backoff never runs after a final failure: once no spec
     has attempts left there is nothing to wait for.
 
-    ``deadline`` (or the process default — see
-    :mod:`repro.engine.deadline`) additionally bounds completion under
-    partial failure: hung workers are killed at ``hard_timeout_s`` and the
-    spec fails that attempt with :class:`TaskTimeoutError`; stragglers are
-    speculatively re-dispatched; a spec that keeps taking workers down is
-    quarantined to in-process execution; and a stage-wide failure-rate
-    breaker degrades the whole batch to serial.  With no deadline in force
-    the loop blocks unbounded, exactly as before.
+    ``timeout_s`` bounds each attempt, counted from its submission to the
+    executor (so it includes any wait behind other tasks of the batch):
+    past it the pool is SIGKILLed and the attempt fails with
+    :class:`TaskTimeoutError`, so a hung spec costs at most
+    ``max_attempts × timeout_s`` plus backoff and re-forks.  Only a worker can be
+    killed, so with ``timeout_s`` set even a batch of one, or
+    ``workers <= 1``, runs on a pool (of at least one worker).  With
+    ``timeout_s=None`` the loop blocks until every task settles.
 
     Pooled batches run under worker-side telemetry capture unless the
     ``REPRO_OBS_CAPTURE`` kill switch disables it: each spec's span
@@ -1054,21 +793,21 @@ def run_many(
         raise ValueError("max_attempts must be at least 1")
     if retry_backoff_s < 0:
         raise ValueError("retry_backoff_s cannot be negative")
+    if timeout_s is not None and timeout_s <= 0:
+        raise ValueError("timeout_s must be positive")
     specs = list(specs)
-    if workers <= 1 or len(specs) <= 1:
+    if not specs or (timeout_s is None and (workers <= 1 or len(specs) == 1)):
         return [_run_serial(spec, max_attempts, retry_backoff_s) for spec in specs]
 
     from ..obs import remote as obs_remote
 
-    if deadline is None:
-        deadline = deadline_mod.get_default_deadline()
     driver = _StageDriver(
-        pool if pool is not None else get_pool(workers),
+        pool if pool is not None else get_pool(max(1, workers)),
         specs,
         do_capture=obs_remote.capture_enabled(),
         max_attempts=max_attempts,
         retry_backoff_s=retry_backoff_s,
-        deadline=deadline,
+        timeout_s=timeout_s,
     )
     return driver.run()
 

@@ -5,7 +5,7 @@ per-minute readings the paper assumes (Sec. 3.3): sensors drop out, stick at
 their last reading, emit wild spikes, and drift off the sampling grid.  The
 injectors here synthesise exactly those pathologies on top of clean traces
 so the repair pipeline (:mod:`repro.faults.repair`) and the chaos harness
-(:mod:`repro.faults.harness`) can prove the pipeline degrades gracefully.
+(:mod:`repro.faults.harness`) can prove the pipeline copes with them.
 
 Faulted data lives in a :class:`RawTelemetry` — a deliberately permissive
 container (NaNs, negatives, and off-grid timestamps allowed) that the strict

@@ -42,9 +42,6 @@ __all__ = [
     "Event",
     "EventLog",
     "FAULT_INJECTION",
-    "POOL_DEGRADED",
-    "SHARD_QUARANTINE",
-    "SPECULATIVE_DISPATCH",
     "SWAP_ACCEPT",
     "SWAP_REJECT",
     "TASK_ERROR",
@@ -71,9 +68,6 @@ CAPPING = "capping"  # the capping loop shed power at a node
 ADVISORY = "advisory"  # a precursor/monitoring finding, pre-violation
 TASK_ERROR = "task_error"  # a pool task raised inside a worker process
 TASK_TIMEOUT = "task_timeout"  # the watchdog killed a task past its deadline
-SPECULATIVE_DISPATCH = "speculative_dispatch"  # a straggler got a twin
-SHARD_QUARANTINE = "shard_quarantine"  # a poison shard moved to in-process
-POOL_DEGRADED = "pool_degraded"  # the stage circuit breaker tripped to serial
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Everything in :mod:`repro.obs` is process-local — a span tree, a metrics
 registry, an event log all live and die with the process that recorded
-them.  That made the shared-memory worker pool (:mod:`repro.engine.parallel`)
-an observability black hole: a ``workers=8`` profile showed only the
+them.  That made the worker pool (:mod:`repro.engine.parallel`) an
+observability black hole: a ``workers=8`` profile showed only the
 coordinator's wall time, and every counter a shard incremented vanished
 with the task.  This module closes the gap with a capture → ship → merge
 pipeline:

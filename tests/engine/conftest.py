@@ -121,3 +121,19 @@ def golden():
     path = pathlib.Path(__file__).parent / "golden.json"
     with open(path) as handle:
         return json.load(handle)
+
+
+#: Names a JSON Lines file the pool's fault tests append their event logs
+#: to (CI uploads it as the infra-chaos artifact); unset, nothing is written.
+EVENTS_ENV = "REPRO_INFRA_EVENTS"
+
+
+def publish_events(log):
+    """Append a fault test's recorded event log to ``$REPRO_INFRA_EVENTS``."""
+    import os
+
+    path = os.environ.get(EVENTS_ENV, "").strip()
+    text = log.to_jsonl()
+    if path and text:
+        with open(path, "a") as handle:
+            handle.write(text + "\n")

@@ -170,3 +170,27 @@ class TestMonitorCommand:
                     str(tmp_path / "e.jsonl"),
                 ]
             )
+
+
+class TestTaskTimeout:
+    def test_rejects_non_positive_timeout(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--instances", "5", "--task-timeout", "0"])
+        assert excinfo.value.code == 2
+
+    def test_chaos_reports_timed_out_scenarios(self, capsys):
+        """A scenario whose every attempt times out is reported as failed,
+        not dropped into the table as a missing outcome."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "chaos",
+                    "--instances", "5",
+                    "--workers", "2",
+                    "--task-timeout", "0.001",
+                ]
+            )
+        assert excinfo.value.code == 1
+        out = capsys.readouterr().out
+        assert "clean: did not run (TaskTimeoutError" in out
+        assert "FAILED scenarios: " in out
